@@ -1,29 +1,22 @@
 #!/usr/bin/env python
-"""Allocation audit: tracemalloc + slab-reuse counts for the datapath.
+"""Allocation audit: tracemalloc over the datapath, per simulator mode.
 
-Runs a short fig1 grid once per simulator mode and reports, for each:
-
-* tracemalloc's peak traced memory and live-at-end block counts for
-  the datapath modules (net/transport/kernel/diffserv), with the
-  heaviest live sites; and
-* the *datagram allocation churn*: how many datagram objects were
-  actually constructed for how many datagrams sent. Packet mode
-  allocates one ``Packet`` per datagram; batch/hybrid modes draw from
-  the struct-of-arrays slab, which recycles a small working set of
-  ``SlabPacket`` views — the churn ratio is the point of the slab.
-
-Note the slab *raises* live-at-end memory (its arrays and free list
-are preallocated and permanent) while cutting per-datagram transient
-allocations; read the two numbers together.
+Runs a short fig1 grid once in packet mode and once in hybrid mode and
+reports, for each, tracemalloc's peak traced memory and live-at-end
+block counts for the datapath modules (net/transport/kernel/diffserv),
+with the heaviest live sites. Hybrid mode replaces the UDP contention
+datagrams with a fluid envelope, so the two columns show how much of
+the datapath's allocation the per-packet contention stream accounts
+for.
 
 Usage::
 
     python benchmarks/alloc_audit.py            # print the comparison
     python benchmarks/alloc_audit.py --json F   # also write JSON
 
-Numbers move with workload duration and Python version; treat the
-recorded history in INTERNALS.md as indicative, not a gate. (The
-gates live in perf_smoke.py: event-count pins and throughput floors.)
+Numbers move with workload duration and Python version; treat them
+as indicative, not a gate. (The gates live in perf_smoke.py:
+event-count pins and throughput floors.)
 """
 
 from __future__ import annotations
@@ -51,24 +44,12 @@ DURATION = 4.0
 
 def _run(mode: str):
     from repro.experiments import fig1_tcp_reservation
-    from repro.kernel import simulator as sim_mod
 
-    sims = []
-    orig_init = sim_mod.Simulator.__init__
-
-    def tracking_init(self, *args, **kwargs):
-        orig_init(self, *args, **kwargs)
-        sims.append(self)
-
-    sim_mod.Simulator.__init__ = tracking_init
     tracemalloc.start(10)
     tracemalloc.clear_traces()
-    try:
-        fig1_tcp_reservation.run(
-            quick=True, seed=0, duration=DURATION, mode=mode
-        )
-    finally:
-        sim_mod.Simulator.__init__ = orig_init
+    fig1_tcp_reservation.run(
+        quick=True, seed=0, duration=DURATION, mode=mode
+    )
     _, peak = tracemalloc.get_traced_memory()
     snapshot = tracemalloc.take_snapshot()
     tracemalloc.stop()
@@ -88,13 +69,6 @@ def _run(mode: str):
         for s in sorted(datapath, key=lambda s: s.count, reverse=True)[:6]
     ]
 
-    # Datagram churn: in batch mode the pool's counters say how many
-    # datagrams were served by how many actual view allocations. In
-    # packet mode there is no pool — one Packet per datagram, always.
-    pool_stats = None
-    for sim in sims:
-        if sim.packet_pool is not None:
-            pool_stats = sim.packet_pool.stats()
     return {
         "mode": mode,
         "peak_kib": round(peak / 1024, 1),
@@ -105,7 +79,6 @@ def _run(mode: str):
             sum(s.size for s in datapath) / 1024, 1
         ),
         "top_datapath_sites": top,
-        "pool": pool_stats,
     }
 
 
@@ -115,7 +88,7 @@ def main(argv=None) -> int:
                         help="write the full comparison as JSON")
     args = parser.parse_args(argv)
 
-    results = [_run("packet"), _run("batch")]
+    results = [_run("packet"), _run("hybrid")]
     for r in results:
         print(
             f"{r['mode']:>7s}: peak {r['peak_kib']:10.1f} KiB; "
@@ -127,15 +100,6 @@ def main(argv=None) -> int:
         for site in r["top_datapath_sites"]:
             print(f"         {site['site']:36s} {site['blocks']:8d} blocks "
                   f"{site['kib']:8.1f} KiB")
-        if r["pool"]:
-            p = r["pool"]
-            churn = p["recycled_views"] / p["acquired"] if p["acquired"] else 0
-            print(
-                f"         slab: {p['acquired']} datagrams served by "
-                f"{p['acquired'] - p['recycled_views']} view allocations "
-                f"({p['recycled_views']} recycled, {churn:.1%} reuse; "
-                f"{p['overflow']} overflowed to plain Packet)"
-            )
 
     if args.json is not None:
         payload = {"python": platform.python_version(),

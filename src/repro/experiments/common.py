@@ -57,7 +57,7 @@ def build_deployment(
     WRED / WRED+ECN one (see :class:`repro.aqm.AqmPolicy`);
     ``resilient`` attaches the broker's write-ahead journal so
     crash/restart experiments recover state instead of losing it.
-    ``mode`` selects the datapath fidelity (``"packet"``, ``"batch"``,
+    ``mode`` selects the datapath fidelity (``"packet"`` or
     ``"hybrid"`` — see :class:`repro.kernel.Simulator`); in hybrid mode
     the UDP contention generator advances as a fluid rate envelope."""
     sim = Simulator(seed=seed, mode=mode)

@@ -130,10 +130,10 @@ def main(argv=None) -> int:
                         help="scaled-down parameters")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--mode", choices=("packet", "batch", "hybrid"), default="packet",
+        "--mode", choices=("packet", "hybrid"), default="packet",
         help="datapath fidelity mode for experiments that support it "
-             "(packet: byte-identical per-packet chain; batch: batched "
-             "egress; hybrid: batched egress + fluid background traffic)",
+             "(packet: byte-identical per-packet chain; hybrid: burst "
+             "drain + fluid background traffic)",
     )
     parser.add_argument("--out", type=Path, default=None,
                         help="directory for JSON result dumps")
@@ -195,7 +195,7 @@ def main(argv=None) -> int:
         import inspect
 
         if args.parallel > 1:
-            parser.error("--mode batch/hybrid runs serially; drop --parallel")
+            parser.error("--mode hybrid runs serially; drop --parallel")
 
         unsupported = [
             name for name in selected_early

@@ -126,9 +126,7 @@ class Simulator:
         "events_processed",
         "events_credited",
         "mode",
-        "batch_egress",
         "fluid",
-        "packet_pool",
         "fluid_engine",
         "telemetry",
         "_profiler",
@@ -136,7 +134,7 @@ class Simulator:
     )
 
     #: Valid datapath fidelity modes (see the ``mode`` parameter).
-    MODES = ("packet", "batch", "hybrid")
+    MODES = ("packet", "hybrid")
 
     def __init__(self, seed: int = 0, mode: str = "packet") -> None:
         if mode not in self.MODES:
@@ -163,27 +161,22 @@ class Simulator:
         #: count.
         self.events_processed: int = 0
         #: Datapath fidelity mode. ``"packet"`` (the default) is the
-        #: byte-identical per-packet event chain. ``"batch"`` drains
+        #: byte-identical per-packet event chain. ``"hybrid"`` drains
         #: router egress bursts through one kernel callback per burst
         #: (arrival times stay analytic/exact; mid-burst preemption is
-        #: approximated at burst granularity). ``"hybrid"`` additionally
-        #: advances registered background aggregates as fluid rate
-        #: envelopes between foreground packet events.
+        #: approximated at burst granularity) and advances registered
+        #: background aggregates as fluid rate envelopes between
+        #: foreground packet events.
         self.mode = mode
-        #: True when interfaces should use the batched egress path.
-        self.batch_egress = mode != "packet"
-        #: True when background aggregates advance analytically.
+        #: True in hybrid mode: interfaces drain egress in bursts and
+        #: background aggregates advance analytically.
         self.fluid = mode == "hybrid"
-        #: Logical events avoided by batching/fluid shortcuts. A burst
-        #: of n packets drained in one callback credits n-1 (the
-        #: collapsed per-packet tx-done events); a fluid aggregate
-        #: credits the per-packet event chain it replaced. Always 0 in
-        #: packet mode, so the pinned benchmark counts are untouched.
+        #: Logical events avoided by hybrid-mode shortcuts. A burst of
+        #: n packets drained in one callback credits n-1 (the collapsed
+        #: per-packet tx-done events); a fluid aggregate credits the
+        #: per-packet event chain it replaced. Always 0 in packet mode,
+        #: so the pinned benchmark counts are untouched.
         self.events_credited: int = 0
-        #: Struct-of-arrays packet slab (:class:`repro.net.slab.PacketPool`),
-        #: created lazily by the first pooled allocator in batch/hybrid
-        #: modes; stays None in packet mode.
-        self.packet_pool = None
         #: Fluid background engine (:class:`repro.net.fluid.FluidEngine`),
         #: created lazily by the first registered aggregate in hybrid
         #: mode; stays None otherwise.
@@ -207,26 +200,13 @@ class Simulator:
     def effective_events(self) -> int:
         """Events processed plus events analytically avoided.
 
-        In packet mode this equals :attr:`events_processed`. In batch
-        and hybrid modes it adds :attr:`events_credited`, the
-        per-packet events the batched egress and fluid aggregates
-        collapsed, so throughput figures stay comparable across modes
+        In packet mode this equals :attr:`events_processed`. In hybrid
+        mode it adds :attr:`events_credited`, the per-packet events the
+        burst drain and fluid aggregates collapsed, so throughput
+        figures stay comparable across modes
         (same simulated work per effective event).
         """
         return self.events_processed + self.events_credited
-
-    def get_packet_pool(self):
-        """The struct-of-arrays packet slab, created on first use.
-
-        Only meaningful in batch/hybrid modes — pooled allocators must
-        check :attr:`batch_egress` before calling this.
-        """
-        pool = self.packet_pool
-        if pool is None:
-            from ..net.slab import PacketPool  # late: avoids kernel<->net cycle
-
-            pool = self.packet_pool = PacketPool()
-        return pool
 
     def get_fluid_engine(self):
         """The hybrid-mode fluid background engine, created on first

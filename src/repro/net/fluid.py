@@ -32,7 +32,7 @@ inelastic aggregates whose per-packet fate is statistically uniform
 (CBR/on-off UDP). It is *not* valid for closed-loop traffic (TCP
 reacts to individual drops) or for flows whose per-packet marks matter
 (AQM-managed AF) — those stay packet-level. See INTERNALS.md,
-"Batched egress & hybrid fidelity".
+"Hybrid mode: burst drain & fluid fidelity".
 """
 
 from __future__ import annotations

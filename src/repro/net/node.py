@@ -20,9 +20,9 @@ from .queues import DropTailQueue, Qdisc
 
 __all__ = ["Interface", "Node", "Host", "Router", "BATCH_MAX_PACKETS"]
 
-#: Upper bound on one egress burst in batch/hybrid modes. Bounds how
-#: long a drained-but-not-yet-transmitted burst can defer a mid-burst
-#: high-priority arrival (the batch-granularity approximation), and
+#: Upper bound on one egress burst in hybrid mode. Bounds how long a
+#: drained-but-not-yet-transmitted burst can defer a mid-burst
+#: high-priority arrival (the burst-granularity approximation), and
 #: keeps per-burst arrival scheduling cache-friendly.
 BATCH_MAX_PACKETS = 32
 
@@ -81,10 +81,10 @@ class Interface:
         # must stay possible, hence the method lives under _tx_done_impl
         # and this slot holds the active callable).
         self._tx_done = self._tx_done_impl
-        # Batched egress is a per-simulator mode decision fixed at
-        # construction; the packet-mode transmit path stays exactly the
-        # historical (byte-identical) event chain.
-        self._batch = node.sim.batch_egress
+        # Hybrid mode's burst drain is a per-simulator decision fixed
+        # at construction; the packet-mode transmit path stays exactly
+        # the historical (byte-identical) event chain.
+        self._batch = node.sim.fluid
         #: Fluid background channel sharing this egress line
         #: (:class:`repro.net.fluid.FluidChannel`), hybrid mode only.
         self.fluid_channel = None
@@ -153,7 +153,7 @@ class Interface:
             return False
         if not self._busy:
             if self._batch:
-                # Batch/hybrid modes: the burst drain owns the
+                # Hybrid mode: the burst drain owns the
                 # transmitter until the whole burst is on the wire.
                 self._busy = True
                 self._drain_batch()
@@ -178,7 +178,7 @@ class Interface:
         return True
 
     def _drain_batch(self) -> None:
-        """Batched egress (batch/hybrid modes): drain one qdisc burst
+        """Burst drain (hybrid mode): drain one qdisc burst
         and put it on the wire in a single kernel callback.
 
         Serialization times are summed analytically — packet *k* of the

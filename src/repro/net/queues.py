@@ -72,8 +72,8 @@ class Qdisc:
         by construction (it loops ``dequeue``); disciplines may
         override it with a faster drain but must preserve the
         equivalence (property-tested over every registered discipline).
-        The batched egress path (:class:`repro.net.node.Interface` in
-        batch/hybrid modes) is the only kernel-side caller.
+        The burst drain (:class:`repro.net.node.Interface` in hybrid
+        mode) is the only kernel-side caller.
         """
         out: List[Packet] = []
         append = out.append

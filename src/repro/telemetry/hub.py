@@ -137,13 +137,6 @@ class Telemetry:
         if self._profilers:
             profiles = [p.snapshot() for p in self._profilers]
             payload["profile"] = profiles[0] if len(profiles) == 1 else profiles
-        pools = [
-            sim.packet_pool.stats()
-            for sim in self._sims
-            if getattr(sim, "packet_pool", None) is not None
-        ]
-        if pools:
-            payload["packet_pool"] = pools[0] if len(pools) == 1 else pools
         return payload
 
 

@@ -66,12 +66,6 @@ class UdpLayer:
         else:
             self.rx_datagrams += 1
             sock._on_datagram(packet)
-        # End of a pooled datagram's bracketed lifetime: the inbox keeps
-        # the extracted fields, never the packet, so its slab slot (if
-        # any) can be recycled. No-op for plain packets / packet mode.
-        pool = self.sim.packet_pool
-        if pool is not None:
-            pool.release(packet)
 
 
 class UdpSocket:
@@ -114,48 +108,22 @@ class UdpSocket:
             )
         # Positional construction (src, dst, sport, dport, proto, size,
         # payload, dscp, ttl, created_at): the contention generator
-        # builds one of these per datagram. Batch/hybrid modes draw the
-        # datagram from the struct-of-arrays slab instead — UDP is the
-        # one datapath whose packet lifetime is provably bracketed
-        # (released by the receiving UdpLayer), so it is the pooled one.
-        sim = self.layer.sim
-        size = nbytes + IP_HEADER_BYTES + UDP_HEADER_BYTES
-        if sim.batch_egress:
-            packet = sim.get_packet_pool().acquire(
-                self.host.addr,
-                dst,
-                self.port,
-                dport,
-                PROTO_UDP,
-                size,
-                payload,
-                self.dscp,
-                DEFAULT_TTL,
-                sim._now,
-            )
-        else:
-            packet = Packet(
-                self.host.addr,
-                dst,
-                self.port,
-                dport,
-                PROTO_UDP,
-                size,
-                payload,
-                self.dscp,
-                DEFAULT_TTL,
-                sim._now,
-            )
+        # builds one of these per datagram.
+        packet = Packet(
+            self.host.addr,
+            dst,
+            self.port,
+            dport,
+            PROTO_UDP,
+            nbytes + IP_HEADER_BYTES + UDP_HEADER_BYTES,
+            payload,
+            self.dscp,
+            DEFAULT_TTL,
+            self.layer.sim._now,
+        )
         self.tx_datagrams += 1
         self.tx_bytes += nbytes
-        accepted = self.host.send_packet(packet)
-        if not accepted:
-            # Refused at the local egress queue — the packet is dead
-            # and nothing downstream saw it; reclaim its slot.
-            pool = sim.packet_pool
-            if pool is not None:
-                pool.release(packet)
-        return accepted
+        return self.host.send_packet(packet)
 
     def recvfrom(self) -> Event:
         """Event yielding ``(payload_bytes, src_addr, sport, payload)``."""

@@ -1,15 +1,10 @@
-"""The million-events datapath: batched egress, the packet slab, and
-the fluid/hybrid background-traffic mode.
+"""The hybrid datapath: burst drain plus fluid background traffic.
 
-Three contracts are pinned here:
+Two contracts are pinned here:
 
 * ``dequeue_batch(n)`` is *exactly* n sequential ``dequeue()`` calls
   for every registered discipline (property-based, two twin instances
-  driven identically);
-* batch mode is byte-identical to packet mode on the fig1 workload —
-  arrival times are computed cumulatively but must equal the
-  per-packet chain exactly, so every statistic matches and the
-  effective event count equals packet mode's processed count;
+  driven identically) — hybrid mode's burst drain relies on it;
 * hybrid mode tracks packet mode within the documented fidelity
   bounds, and its credited-event accounting is live.
 """
@@ -23,8 +18,6 @@ from repro.aqm import registered_qdisc_factories
 from repro.diffserv import EF, af_dscp
 from repro.kernel import Simulator
 from repro.net import ECN_ECT0, ECN_NOT_ECT, Packet
-from repro.net.packet import FlowKey
-from repro.net.slab import DEFAULT_POOL_SLOTS, PacketPool, SlabPacket
 
 DSCPS = [0, EF] + [af_dscp(c, p) for c in (1, 4) for p in (1, 2, 3)]
 
@@ -110,59 +103,6 @@ class TestDequeueBatchEquivalence:
         assert qdisc.dequeue_batch(0) == []
 
 
-class TestPacketPool:
-    """The struct-of-arrays slab behind batch/hybrid UDP datapaths."""
-
-    def _acquire(self, pool, i=0, size=1028):
-        return pool.acquire(1, 2, 1000 + i, 2000, 17, size, None, 0,
-                            64, 0.0)
-
-    def test_acquire_release_recycles_views(self):
-        pool = PacketPool(capacity=8)
-        first = self._acquire(pool)
-        assert isinstance(first, SlabPacket)
-        assert first.size == 1028
-        pool.release(first)
-        second = self._acquire(pool, i=1, size=512)
-        # The recycled view is the same object, now showing new fields.
-        assert second is first
-        assert second.size == 512
-        assert pool.stats()["recycled_views"] == 1
-
-    def test_overflow_falls_back_to_plain_packets(self):
-        pool = PacketPool(capacity=2)
-        held = [self._acquire(pool, i=i) for i in range(4)]
-        assert isinstance(held[0], SlabPacket)
-        assert isinstance(held[1], SlabPacket)
-        assert not isinstance(held[2], SlabPacket)
-        assert not isinstance(held[3], SlabPacket)
-        assert pool.stats()["overflow"] == 2
-        for packet in held:
-            pool.release(packet)  # plain-Packet release is a no-op
-        assert pool.in_flight == 0
-
-    def test_double_release_is_safe(self):
-        pool = PacketPool(capacity=4)
-        packet = self._acquire(pool)
-        pool.release(packet)
-        pool.release(packet)
-        assert pool.stats()["released"] == 1
-
-    def test_slab_packet_cannot_be_constructed_directly(self):
-        with pytest.raises(TypeError):
-            SlabPacket(1, 2, 3, 4, 17, 100, None, 0, 64, 0.0)
-
-    def test_flow_interning_is_dense_and_stable(self):
-        pool = PacketPool(capacity=4)
-        a = pool.intern_flow(FlowKey(1, 2, 10, 20, 17))
-        b = pool.intern_flow(FlowKey(1, 2, 10, 21, 17))
-        assert pool.intern_flow(FlowKey(1, 2, 10, 20, 17)) == a
-        assert sorted([a, b]) == [0, 1]
-
-    def test_default_capacity(self):
-        assert PacketPool().stats()["capacity"] == DEFAULT_POOL_SLOTS
-
-
 def _fig1(mode, duration):
     from repro.experiments import fig1_tcp_reservation
 
@@ -171,32 +111,11 @@ def _fig1(mode, duration):
     )
 
 
-class TestBatchModeExactness:
-    """Batch mode reorders the *computation* of the tx chain, not its
-    arithmetic: cumulative finish times must equal the per-packet
-    chain bit for bit, so the Fig 1 trace is identical."""
-
-    def test_fig1_identical_to_packet_mode(self):
-        packet = _fig1("packet", 6.0)
-        batch = _fig1("batch", 6.0)
-        assert batch.rows == packet.rows
-        for key in ("mean_kbps", "min_kbps", "max_kbps", "std_kbps",
-                    "retransmissions"):
-            assert batch.extra[key] == packet.extra[key], key
-        # Every event batching elides is credited: effective events
-        # equal packet mode's processed count exactly.
-        assert batch.extra["mode"] == "batch"
-        assert (
-            batch.extra["effective_events"]
-            == batch.extra["events_processed"]
-            + batch.extra["events_credited"]
-        )
-
-
 class TestHybridMode:
-    def test_mode_validation(self):
+    @pytest.mark.parametrize("mode", ["turbo", "batch"])
+    def test_mode_validation(self, mode):
         with pytest.raises(ValueError):
-            Simulator(mode="turbo")
+            Simulator(mode=mode)
 
     def test_fluid_engine_requires_hybrid_mode(self):
         with pytest.raises(RuntimeError):

@@ -162,6 +162,15 @@ class TestRunnerCli:
         with pytest.raises(SystemExit):
             main(["fig8", "--quick", "--parallel", "0"])
 
+    def test_runner_rejects_batch_mode(self):
+        """Only the packet and hybrid datapaths exist; argparse
+        refuses anything else with its usage-error exit code."""
+        from repro.experiments.runner import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["fig1", "--quick", "--mode", "batch"])
+        assert exc.value.code == 2
+
     def test_runner_parallel_output_matches_serial(self, tmp_path):
         """--parallel 2 writes the same JSON a serial run does
         (elapsed_seconds aside)."""
