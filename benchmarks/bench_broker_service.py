@@ -147,15 +147,16 @@ async def run_once(ops: int, batch: int) -> dict:
 
 
 def measure(rounds: int, ops: int, batch: int):
+    from repro.kernel import paused_gc
+
     best = None
     for i in range(rounds):
         # GC stays off during the timed run; collecting *between*
         # rounds keeps one round's journals from inflating the next.
-        gc.disable()
         try:
-            stats = asyncio.run(run_once(ops, batch))
+            with paused_gc():
+                stats = asyncio.run(run_once(ops, batch))
         finally:
-            gc.enable()
             gc.collect()
         rate = stats["admissions_per_sec"]
         print(

@@ -44,19 +44,19 @@ BENCH_FILE = REPO / "BENCH_pdes.json"
 
 
 def run_counts(scenario: str, seed: int, counts, backend: str, duration):
+    from repro.kernel import paused_gc
     from repro.pdes import run_scenario
 
     reference = None
     rows = []
     for shards in counts:
-        gc.disable()
         try:
-            result = run_scenario(
-                scenario, seed=seed, shards=shards, backend=backend,
-                duration=duration,
-            )
+            with paused_gc():
+                result = run_scenario(
+                    scenario, seed=seed, shards=shards, backend=backend,
+                    duration=duration,
+                )
         finally:
-            gc.enable()
             gc.collect()
         payload = json.dumps(result.merged, sort_keys=True)
         if reference is None:

@@ -267,7 +267,7 @@ def measure_once(workload_fn):
     """One workload run; returns (events, credited, wall_seconds,
     pinned). ``pinned`` is the workload's optional dict of exact-match
     values (e.g. the pdes per-shard event counts), None otherwise."""
-    from repro.kernel import simulator as sim_mod
+    from repro.kernel import paused_gc, simulator as sim_mod
 
     sims = []
     orig_init = sim_mod.Simulator.__init__
@@ -277,13 +277,12 @@ def measure_once(workload_fn):
         sims.append(self)
 
     sim_mod.Simulator.__init__ = tracking_init
-    gc.disable()
     try:
-        started = time.perf_counter()
-        pinned = workload_fn()
-        wall = time.perf_counter() - started
+        with paused_gc():
+            started = time.perf_counter()
+            pinned = workload_fn()
+            wall = time.perf_counter() - started
     finally:
-        gc.enable()
         gc.collect()
         sim_mod.Simulator.__init__ = orig_init
     return (
@@ -335,14 +334,14 @@ def _baseline_floor(baseline: dict, tolerance: float):
 def _profile(workload_fn, out: Path | None) -> int:
     """One profiled run: per-callback-site wall time, heaviest first."""
     import repro.telemetry as telemetry
+    from repro.kernel import paused_gc
 
     tel = telemetry.Telemetry(profile=True)
     telemetry.install(tel)
-    gc.disable()
     try:
-        workload_fn()
+        with paused_gc():
+            workload_fn()
     finally:
-        gc.enable()
         gc.collect()
         for profiler in tel._profilers:
             profiler.stop()

@@ -26,12 +26,12 @@ deployment from the seed, so values never depend on where they ran).
 
 from __future__ import annotations
 
-import gc
 import multiprocessing as mp
 import time
 from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
+from ..kernel import paused_gc
 from . import (
     fig6_visualization,
     fig_adaptation,
@@ -93,11 +93,10 @@ def _whole_job(
         tel = make_telemetry()
         telemetry.install(tel)
     started = time.time()
-    gc.disable()
     try:
-        result = EXPERIMENTS[name](quick=quick, seed=seed)
+        with paused_gc():
+            result = EXPERIMENTS[name](quick=quick, seed=seed)
     finally:
-        gc.enable()
         if tel is not None:
             telemetry.uninstall()
     elapsed = time.time() - started
@@ -119,51 +118,36 @@ def _whole_job(
 
 def _fig6_point_job(kwargs: dict, seed: int):
     started = time.time()
-    gc.disable()
-    try:
+    with paused_gc():
         value = fig6_visualization.measure_point(seed=seed, **kwargs)
-    finally:
-        gc.enable()
     return value, time.time() - started
 
 
 def _table1_cell_job(kwargs: dict, seed: int):
     started = time.time()
-    gc.disable()
-    try:
+    with paused_gc():
         value = table1_burstiness.required_reservation(seed=seed, **kwargs)
-    finally:
-        gc.enable()
     return value, time.time() - started
 
 
 def _table1_aqm_cell_job(kwargs: dict, seed: int):
     started = time.time()
-    gc.disable()
-    try:
+    with paused_gc():
         value = table1_aqm.measure_cell(seed=seed, **kwargs)
-    finally:
-        gc.enable()
     return value, time.time() - started
 
 
 def _table1_l4s_cell_job(kwargs: dict, seed: int):
     started = time.time()
-    gc.disable()
-    try:
+    with paused_gc():
         value = table1_l4s.measure_cell(seed=seed, **kwargs)
-    finally:
-        gc.enable()
     return value, time.time() - started
 
 
 def _fig_adaptation_cell_job(kwargs: dict, seed: int):
     started = time.time()
-    gc.disable()
-    try:
+    with paused_gc():
         value = fig_adaptation.measure_cell(seed=seed, **kwargs)
-    finally:
-        gc.enable()
     return value, time.time() - started
 
 

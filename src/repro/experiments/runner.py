@@ -26,6 +26,7 @@ import time
 from pathlib import Path
 
 from .. import telemetry
+from ..kernel import paused_gc
 from . import (
     fig1_tcp_reservation,
     fig5_pingpong,
@@ -240,16 +241,15 @@ def main(argv=None) -> int:
         # A simulation run allocates at a steady rate and drops whole
         # object graphs at once; generational GC only adds pauses, so
         # it is suspended for the duration of the experiment.
-        gc.disable()
         try:
             kwargs = {"quick": args.quick, "seed": args.seed}
             if args.mode != "packet":
                 kwargs["mode"] = args.mode
             if args.shards > 1:
                 kwargs["shards"] = args.shards
-            result = EXPERIMENTS[name](**kwargs)
+            with paused_gc():
+                result = EXPERIMENTS[name](**kwargs)
         finally:
-            gc.enable()
             gc.collect()
             if tel is not None:
                 telemetry.uninstall()

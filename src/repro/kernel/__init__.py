@@ -16,6 +16,7 @@ from .events import (
     Timeout,
     URGENT,
 )
+from .gcpause import paused_gc
 from .monitor import Counter, Monitor
 from .process import Process
 from .resources import Resource, Store
@@ -38,4 +39,5 @@ __all__ = [
     "TimerHandle",
     "Timeout",
     "URGENT",
+    "paused_gc",
 ]

@@ -302,10 +302,9 @@ def plan_flows(
     starts = rng.uniform(t_start, t_end, n_flows)
     sizes = rng.integers(size_range[0], size_range[1] + 1, n_flows)
     counts = rng.integers(count_range[0], count_range[1] + 1, n_flows)
-    return [
-        GridFlow(
-            int(src[i]), int(dst[i]), int(dscps[i]),
-            float(starts[i]), int(sizes[i]), int(counts[i]),
-        )
-        for i in range(n_flows)
-    ]
+    # tolist() yields plain ints and floats in one pass per column,
+    # not a numpy scalar per field.
+    return list(map(GridFlow._make, zip(
+        src.tolist(), dst.tolist(), dscps.tolist(),
+        starts.tolist(), sizes.tolist(), counts.tolist(),
+    )))

@@ -24,7 +24,8 @@ every shard round-robin in this process (packets still make a pickle
 round-trip, emulating process isolation bit-for-bit), ``fork`` runs
 each shard in a forked worker connected by a pipe. Their merged output
 is byte-identical; ``auto`` picks fork when the platform has it and
-more than one shard is requested.
+more than one shard is requested. The fork backend starts every worker
+before it waits on any, so the shard builds run concurrently.
 """
 
 from __future__ import annotations
@@ -125,9 +126,10 @@ def run_scenario(
     # The plan is computed once from a throwaway topology-only build
     # (no actors, no flow timers) and broadcast; every worker wires its
     # boundary from the same assignment.
-    from ..kernel import Simulator
+    from ..kernel import Simulator, paused_gc
 
-    topo = scenario.topology(Simulator(seed=seed), **params)
+    with paused_gc():
+        topo = scenario.topology(Simulator(seed=seed), **params)
     network = getattr(topo, "network", topo)
     hint = scenario.hint(topo, shards) if scenario.hint is not None else None
     plan = make_plan(network, shards, hint=hint)
@@ -261,7 +263,12 @@ def _run_inline(scenario, seed, plan: ShardPlan, until, params):
 
 def _worker_main(conn, scenario, seed, plan, shard_id, params) -> None:
     """Forked worker: build, then serve window requests until told to
-    finish. The ready message doubles as the build barrier."""
+    finish.
+
+    The ready message reports this shard's first next-event time once
+    its build is done. It is not a serial barrier: the parent forks
+    every worker before awaiting any ready, so the builds overlap.
+    """
     try:
         runner = ShardRunner(scenario, seed, plan, shard_id, params)
         conn.send(("ready", runner.next_time()))
@@ -299,7 +306,12 @@ def _worker_main(conn, scenario, seed, plan, shard_id, params) -> None:
 
 
 class _ForkWorker:
-    """Parent-side proxy for one forked shard."""
+    """Parent-side proxy for one forked shard.
+
+    Construction forks the worker and returns without waiting for its
+    build; :meth:`await_ready` collects the ready message. Awaiting is
+    split off so that the coordinator can start all workers first.
+    """
 
     def __init__(self, ctx, scenario, seed, plan, shard_id, params) -> None:
         self.conn, child = ctx.Pipe()
@@ -311,6 +323,10 @@ class _ForkWorker:
         )
         self.proc.start()
         child.close()
+        self._next = math.inf
+
+    def await_ready(self) -> None:
+        """Block until the worker's build is done; raises on its error."""
         self._next = self._expect("ready")[0]
 
     def _expect(self, want: str):
@@ -348,16 +364,22 @@ class _ForkWorker:
             pass
         if self.proc.is_alive():
             self.proc.terminate()
+        self.proc.join(timeout=60)
 
 
 def _run_fork(scenario, seed, plan: ShardPlan, until, params):
     ctx = mp.get_context("fork")
     workers: List[_ForkWorker] = []
     try:
+        # Fork every worker before awaiting any, so the shard builds run
+        # side by side. Each started worker is in ``workers`` at once,
+        # so a failed build below still kills and reaps all of them.
         for shard_id in range(plan.n_shards):
             workers.append(
                 _ForkWorker(ctx, scenario, seed, plan, shard_id, params)
             )
+        for worker in workers:
+            worker.await_ready()
         windows = _coordinate(workers, plan.n_shards, plan.lookahead, until)
         partials, events, bout, registries = [], [], [], []
         for worker in workers:

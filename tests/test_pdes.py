@@ -4,14 +4,17 @@ contract (N-shard merged output byte-identical to 1-shard)."""
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import json
 import math
+import multiprocessing as mp
 import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernel import Simulator
+from repro.kernel import Simulator, paused_gc
 from repro.kernel.events import NORMAL
 from repro.kernel.simulator import SimulationError
 from repro.net import garnet, mbps
@@ -206,6 +209,14 @@ def test_plan_flows_is_deterministic_and_class_mixed():
     for f in flows_a:
         mix[f.dscp] += 1
     assert mix[0] > mix[18] > mix[46] > 0
+    # Plain Python numbers, never numpy scalars: the plan feeds pickled
+    # boundary state and JSON output.
+    kinds = (int, int, int, float, int, int)
+    assert all(
+        type(value) is kind
+        for f in flows_a
+        for value, kind in zip(f, kinds)
+    )
 
 
 # -- boundary-message ordering (the conservative protocol's core) --------
@@ -322,8 +333,6 @@ def test_fig1_short_run_is_shard_count_invariant():
 
 
 def test_fork_backend_matches_inline():
-    import multiprocessing as mp
-
     if "fork" not in mp.get_all_start_methods():
         pytest.skip("no fork start method on this platform")
     inline, ri = _merged("garnet_small", 2, backend="inline", seed=3)
@@ -351,3 +360,94 @@ def test_run_scenario_validates_inputs():
         run_scenario("garnet_small", shards=0)
     with pytest.raises(ValueError, match="backend"):
         run_scenario("garnet_small", backend="threads")
+
+
+# -- shard builds: failure handling and the GC pause ----------------------
+
+
+def _failing_build(failing_shard: str):
+    """garnet_small whose build raises on one shard of a 2-shard run.
+
+    ``owner`` fails the shard that owns ``h0_0``, ``peer`` the other.
+    """
+    base = get_scenario("garnet_small")
+
+    def build(sim, owns, **params):
+        if owns("h0_0") == (failing_shard == "owner"):
+            raise ValueError(f"{failing_shard} shard build failed")
+        return base.build(sim, owns, **params)
+
+    return dataclasses.replace(base, build=build)
+
+
+@pytest.mark.parametrize("failing_shard", ["peer", "owner"])
+def test_failed_build_reaps_every_fork_worker(failing_shard):
+    if "fork" not in mp.get_all_start_methods():
+        pytest.skip("no fork start method on this platform")
+    # Every worker starts before any is awaited, so the other shard may
+    # still be building when the error arrives; it must be reaped too.
+    scenario = _failing_build(failing_shard)
+    with pytest.raises(RuntimeError, match="pdes worker failed") as info:
+        run_scenario(scenario, shards=2, backend="fork")
+    assert f"ValueError('{failing_shard} shard build failed')" in str(info.value)
+    assert "Traceback" in str(info.value)
+    assert mp.active_children() == []
+
+
+def test_failed_build_raises_inline():
+    with pytest.raises(ValueError, match="peer shard build failed"):
+        run_scenario(_failing_build("peer"), shards=2, backend="inline")
+
+
+@pytest.fixture
+def restore_gc():
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_paused_gc_restores_an_enabled_collector(restore_gc):
+    gc.enable()
+    with paused_gc():
+        assert not gc.isenabled()
+    assert gc.isenabled()
+    with pytest.raises(ZeroDivisionError):
+        with paused_gc():
+            1 / 0
+    assert gc.isenabled()
+
+
+def test_paused_gc_leaves_a_disabled_collector_disabled(restore_gc):
+    gc.disable()
+    with paused_gc():
+        with paused_gc():
+            pass
+        assert not gc.isenabled()
+    assert not gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_inline_run_builds_paused_and_restores_gc(restore_gc, enabled):
+    base = get_scenario("garnet_small")
+    seen = []
+
+    def topology(sim, **params):
+        seen.append(gc.isenabled())
+        return base.topology(sim, **params)
+
+    def build(sim, owns, **params):
+        seen.append(gc.isenabled())
+        return base.build(sim, owns, **params)
+
+    scenario = dataclasses.replace(base, topology=topology, build=build)
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    run_scenario(scenario, shards=2, backend="inline")
+    assert gc.isenabled() is enabled
+    # The planning build and both shard builds ran with GC paused.
+    assert seen == [False, False, False]
