@@ -7,7 +7,7 @@ at a fixed reservation: deeper buckets (smaller divisors) monotonically
 help, and overly shallow buckets starve the flow.
 """
 
-from repro.experiments.fig6_visualization import measure_point
+from repro.experiments.fig6_visualization import measure_cell
 
 BANDWIDTH_KBPS = 400.0
 RESERVATION_KBPS = 550.0
@@ -17,7 +17,7 @@ FRAME_KB = 50_000 / 1024  # 1 fps at 400 Kb/s
 def test_depth_divisor_sweep(once):
     def experiment():
         return {
-            divisor: measure_point(
+            divisor: measure_cell(
                 FRAME_KB, RESERVATION_KBPS, duration=8.0, fps=1.0,
                 bucket_divisor=divisor,
             )

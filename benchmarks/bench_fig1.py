@@ -6,15 +6,19 @@ bandwidth varies wildly between roughly 20 and 55 Mb/s):
 * the mean sits below the attempted rate and near/below the reservation;
 * the trace genuinely oscillates (non-trivial standard deviation);
 * dips fall well below the reservation, peaks approach/exceed it.
+
+Both datapath modes that claim Fig. 1 fidelity must keep this shape:
+the per-packet chain and hybrid (fluid UDP contention).
 """
 
-import numpy as np
+import pytest
 
 from repro.experiments.fig1_tcp_reservation import run
 
 
-def test_fig1_oscillation(once):
-    result = once(run, quick=True, duration=30.0)
+@pytest.mark.parametrize("mode", ("packet", "hybrid"))
+def test_fig1_oscillation(once, mode):
+    result = once(run, quick=True, duration=30.0, mode=mode)
     reserved = result.extra["reserved_kbps"]
     attempted = result.extra["attempted_kbps"]
     mean = result.extra["mean_kbps"]

@@ -8,7 +8,7 @@ Shape assertions (§5.3):
 * low reservations are much worse than linear scaling would suggest.
 """
 
-from repro.experiments.fig6_visualization import measure_point
+from repro.experiments.fig6_visualization import measure_cell
 
 TARGET_KBPS = 2458  # 30 KB frames at 10 fps
 
@@ -16,7 +16,7 @@ TARGET_KBPS = 2458  # 30 KB frames at 10 fps
 def test_fig6_adequacy_cliff(once):
     def experiment():
         return {
-            r: measure_point(30, r, duration=8.0)
+            r: measure_cell(30, r, duration=8.0)
             for r in (800, 2300, 2700)
         }
 

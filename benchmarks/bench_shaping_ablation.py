@@ -8,7 +8,7 @@ reservation, achieves its full rate at the *smooth* flow's reservation
 once the sender shapes its own traffic.
 """
 
-from repro.experiments.fig6_visualization import measure_point
+from repro.experiments.fig6_visualization import measure_cell
 
 BANDWIDTH_KBPS = 400.0
 RESERVATION_KBPS = 550.0  # adequate for the smooth 10 fps profile
@@ -17,11 +17,11 @@ FRAME_KB = 50_000 / 1024  # 1 fps at 400 Kb/s
 
 def test_shaping_rescues_bursty_flow(once):
     def experiment():
-        unshaped = measure_point(
+        unshaped = measure_cell(
             FRAME_KB, RESERVATION_KBPS, duration=8.0, fps=1.0,
             bucket_divisor=40.0, shaped=False,
         )
-        shaped = measure_point(
+        shaped = measure_cell(
             FRAME_KB, RESERVATION_KBPS, duration=8.0, fps=1.0,
             bucket_divisor=40.0, shaped=True,
         )

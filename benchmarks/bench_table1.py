@@ -8,17 +8,17 @@ Shape assertions (§5.4): for a fixed 400 Kb/s target,
 * the large (bw/4) bucket removes the burstiness penalty entirely.
 """
 
-from repro.experiments.table1_burstiness import required_reservation
+from repro.experiments.table1_burstiness import measure_cell
 
 
 def test_table1_row_400(once):
     def experiment():
-        smooth = required_reservation(400, 10.0, 40.0, duration=5.0,
-                                      resolution_kbps=100.0)
-        bursty = required_reservation(400, 1.0, 40.0, duration=5.0,
-                                      resolution_kbps=100.0)
-        large = required_reservation(400, 1.0, 4.0, duration=5.0,
-                                     resolution_kbps=100.0)
+        smooth = measure_cell(400, 10.0, 40.0, duration=5.0,
+                              resolution_kbps=100.0)
+        bursty = measure_cell(400, 1.0, 40.0, duration=5.0,
+                              resolution_kbps=100.0)
+        large = measure_cell(400, 1.0, 4.0, duration=5.0,
+                             resolution_kbps=100.0)
         return smooth, bursty, large
 
     smooth, bursty, large = once(experiment)

@@ -8,7 +8,7 @@ reproducible from their seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "GarnetDeployment",
     "build_deployment",
     "ExperimentResult",
+    "grid_cells",
 ]
 
 
@@ -114,3 +115,26 @@ class ExperimentResult:
 
     def row_dicts(self) -> List[Dict[str, Any]]:
         return [dict(zip(self.headers, row)) for row in self.rows]
+
+
+def grid_cells(
+    plan_cells: Callable[..., List[Tuple[Any, dict]]],
+    measure_cell: Callable[..., Any],
+    quick: bool,
+    seed: int,
+    grid: Dict[str, Any],
+    cell_results: Optional[Dict[Any, Any]] = None,
+) -> Dict[Any, Any]:
+    """The measured cells of one gridded experiment, in plan order.
+
+    ``plan_cells(quick, **grid)`` lists the cells as ``(key, kwargs)``.
+    ``cell_results`` (measured elsewhere, e.g. by the parallel runner)
+    is used when given; otherwise each cell is measured here with
+    ``measure_cell(seed=seed, **kwargs)``. Either way the experiment
+    renders from this one dict, so serial and partitioned runs
+    assemble identical results.
+    """
+    plan = plan_cells(quick, **grid)
+    if cell_results is None:
+        return {key: measure_cell(seed=seed, **kwargs) for key, kwargs in plan}
+    return {key: cell_results[key] for key, _ in plan}

@@ -19,9 +19,9 @@ import numpy as np
 from ..apps import VisualizationPipeline
 from ..net import KB, kbps, mbps
 from ..transport.tcp import TcpConfig
-from .common import ExperimentResult, build_deployment
+from .common import ExperimentResult, build_deployment, grid_cells
 
-__all__ = ["run", "measure_point", "plan_points", "FRAME_SIZES_KB"]
+__all__ = ["run", "measure_cell", "plan_cells", "FRAME_SIZES_KB"]
 
 #: Paper frame sizes (KB) at 10 fps -> 400/800/1600/2400 Kb/s targets.
 FRAME_SIZES_KB = (5, 10, 20, 30)
@@ -31,7 +31,7 @@ FULL_RESERVATIONS = (100, 200, 300, 400, 500, 600, 800, 1000, 1200,
 QUICK_RESERVATIONS = (200, 800, 1700, 2600)
 
 
-def measure_point(
+def measure_cell(
     frame_kb: int,
     reservation_kbps: float,
     seed: int = 0,
@@ -78,38 +78,20 @@ def measure_point(
     return app.achieved_bandwidth_kbps(1.0, duration)
 
 
-def _resolve_grid(
-    quick: bool,
-    frame_sizes_kb: Optional[Sequence[int]],
-    reservations_kbps: Optional[Sequence[float]],
-    duration: Optional[float],
-) -> Tuple[Sequence[int], Sequence[float], float]:
+def plan_cells(
+    quick: bool = False,
+    frame_sizes_kb: Optional[Sequence[int]] = None,
+    reservations_kbps: Optional[Sequence[float]] = None,
+    duration: Optional[float] = None,
+) -> List[Tuple[Tuple[int, float], dict]]:
+    """The measurement grid as ``[(key, measure_cell_kwargs), ...]``,
+    keyed ``(frame_kb, reservation_kbps)``."""
     if frame_sizes_kb is None:
         frame_sizes_kb = FRAME_SIZES_KB[::3] if quick else FRAME_SIZES_KB
     if reservations_kbps is None:
         reservations_kbps = QUICK_RESERVATIONS if quick else FULL_RESERVATIONS
     if duration is None:
         duration = 4.0 if quick else 10.0
-    return frame_sizes_kb, reservations_kbps, duration
-
-
-def plan_points(
-    quick: bool = False,
-    frame_sizes_kb: Optional[Sequence[int]] = None,
-    reservations_kbps: Optional[Sequence[float]] = None,
-    duration: Optional[float] = None,
-) -> List[Tuple[Tuple[int, float], dict]]:
-    """The measurement grid as independent jobs.
-
-    Returns ``[(key, measure_point_kwargs), ...]`` where ``key`` is
-    ``(frame_kb, reservation_kbps)``. Feeding the measured values back
-    through :func:`run`'s ``point_results`` reproduces the serial
-    result exactly — each grid point builds its own deployment from the
-    seed, so evaluation order (or process) cannot matter.
-    """
-    frame_sizes_kb, reservations_kbps, duration = _resolve_grid(
-        quick, frame_sizes_kb, reservations_kbps, duration
-    )
     return [
         (
             (frame_kb, reservation),
@@ -127,40 +109,25 @@ def plan_points(
 def run(
     quick: bool = False,
     seed: int = 0,
-    frame_sizes_kb: Optional[Sequence[int]] = None,
-    reservations_kbps: Optional[Sequence[float]] = None,
-    duration: Optional[float] = None,
-    point_results: Optional[Dict[Tuple[int, float], float]] = None,
+    cell_results: Optional[Dict[Tuple[int, float], float]] = None,
+    **grid,
 ) -> ExperimentResult:
-    """Produce the Figure 6 result.
-
-    ``point_results`` optionally supplies precomputed grid values
-    (keyed as in :func:`plan_points`); the parallel runner uses this so
-    merging goes through the exact same assembly code as a serial run.
-    """
-    frame_sizes_kb, reservations_kbps, duration = _resolve_grid(
-        quick, frame_sizes_kb, reservations_kbps, duration
-    )
-
+    """Produce the Figure 6 result (``grid`` as in :func:`plan_cells`)."""
+    cells = grid_cells(plan_cells, measure_cell, quick, seed, grid, cell_results)
     result = ExperimentResult(
         experiment="fig6",
         description="visualization app (10 fps) throughput vs reservation",
         headers=["target_kbps", "reservation_kbps", "throughput_kbps"],
     )
-    for frame_kb in frame_sizes_kb:
+    curves: Dict[str, Tuple[list, list]] = {}
+    for (frame_kb, reservation), throughput in cells.items():
         target = frame_kb * KB * 8 * 10 / 1e3
-        xs, ys = [], []
-        for reservation in reservations_kbps:
-            if point_results is not None:
-                throughput = point_results[(frame_kb, reservation)]
-            else:
-                throughput = measure_point(
-                    frame_kb, reservation, seed=seed, duration=duration
-                )
-            result.rows.append([target, reservation, throughput])
-            xs.append(reservation)
-            ys.append(throughput)
-        result.series[f"{target:.0f}Kb/s"] = (
+        result.rows.append([target, reservation, throughput])
+        xs, ys = curves.setdefault(f"{target:.0f}Kb/s", ([], []))
+        xs.append(reservation)
+        ys.append(throughput)
+    for label, (xs, ys) in curves.items():
+        result.series[label] = (
             np.asarray(xs, dtype=float),
             np.asarray(ys, dtype=float),
         )

@@ -30,7 +30,7 @@ from ..faults import ChaosSchedule
 from ..mpi import Communicator
 from ..net import mbps
 from ..slo import AdaptationController, SloMonitor, SloSpec
-from .common import ExperimentResult, build_deployment
+from .common import ExperimentResult, build_deployment, grid_cells
 
 __all__ = [
     "run",
@@ -222,25 +222,15 @@ def measure_cell(
     return cell
 
 
-def _resolve_duration(quick: bool, duration: Optional[float]) -> float:
-    if duration is not None:
-        return duration
-    return 20.0 if quick else 40.0
-
-
 def plan_cells(
     quick: bool = False,
     duration: Optional[float] = None,
 ) -> List[Tuple[str, dict]]:
-    """The two flavors as independent jobs, keyed by flavor name.
-
-    Each cell builds a fresh deployment from the seed, so the flavors
-    parallelise without changing any value; :func:`run`'s
-    ``cell_results`` merges them through the serial assembly path.
-    """
-    resolved = _resolve_duration(quick, duration)
+    """The two flavors as ``[(flavor, measure_cell_kwargs), ...]``."""
+    if duration is None:
+        duration = 20.0 if quick else 40.0
     return [
-        (flavor, dict(flavor=flavor, duration=resolved))
+        (flavor, dict(flavor=flavor, duration=duration))
         for flavor in FLAVORS
     ]
 
@@ -248,16 +238,12 @@ def plan_cells(
 def run(
     quick: bool = False,
     seed: int = 0,
-    duration: Optional[float] = None,
     cell_results: Optional[Dict[str, Dict[str, float]]] = None,
+    **grid,
 ) -> ExperimentResult:
-    """Compare the flavors on SLO compliance under identical chaos.
-
-    ``cell_results`` optionally supplies precomputed flavor
-    measurements (keyed as in :func:`plan_cells`) so the parallel
-    runner merges through the same assembly code as a serial run.
-    """
-    resolved = _resolve_duration(quick, duration)
+    """Compare the flavors on SLO compliance under identical chaos
+    (``grid`` as in :func:`plan_cells`)."""
+    cells = grid_cells(plan_cells, measure_cell, quick, seed, grid, cell_results)
     result = ExperimentResult(
         experiment="fig_adaptation",
         description=(
@@ -280,33 +266,15 @@ def run(
             "throughput_kbps",
         ],
     )
-    cells = {}
-    for flavor in FLAVORS:
-        if cell_results is not None:
-            cell = cell_results[flavor]
-        else:
-            cell = measure_cell(flavor, seed=seed, duration=resolved)
-        cells[flavor] = cell
-        result.rows.append([
-            flavor,
-            cell["compliance"],
-            cell["violation_seconds"],
-            cell["episodes"],
-            cell["flaps"],
-            cell["flap_bound"],
-            cell["renegotiations"],
-            cell["degradations"],
-            cell["restores"],
-            cell["broker_retries"],
-            cell["granted_kbps"],
-            cell["throughput_kbps"],
-        ])
-    result.extra["static_compliance"] = cells["static"]["compliance"]
-    result.extra["adaptive_compliance"] = cells["adaptive"]["compliance"]
+    for flavor, cell in cells.items():
+        result.rows.append([flavor] + [cell[h] for h in result.headers[1:]])
+    static, adaptive = cells["static"], cells["adaptive"]
+    result.extra["static_compliance"] = static["compliance"]
+    result.extra["adaptive_compliance"] = adaptive["compliance"]
     result.extra["compliance_gain"] = (
-        cells["adaptive"]["compliance"] - cells["static"]["compliance"]
+        adaptive["compliance"] - static["compliance"]
     )
     result.extra["adaptive_within_flap_bound"] = bool(
-        cells["adaptive"]["flaps"] <= cells["adaptive"]["flap_bound"]
+        adaptive["flaps"] <= adaptive["flap_bound"]
     )
     return result

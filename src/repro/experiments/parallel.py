@@ -1,35 +1,42 @@
-"""Parallel experiment execution (``mpichgq-experiments --parallel N``).
+"""Experiment execution over a process pool (``mpichgq-experiments``).
 
-The selected experiments fan out over a fork-based process pool.
-Experiments whose data points are independent simulations — fig6's
-measurement grid and table1's bisection cells — are partitioned into
-per-point jobs; everything else runs as one whole-experiment job.
-Jobs are submitted longest-estimated-first so the pool drains evenly.
+Every run of the runner goes through :func:`run_parallel`; a serial run
+is the same job plan executed in-process. The gridded experiments in
+:data:`GRIDS` are partitioned into one job per cell; everything else
+runs as one whole-experiment job. Jobs are submitted
+longest-estimated-first so the pool drains evenly.
 
-Determinism: every grid point / cell builds its own deployment from
-the seed, so values cannot depend on evaluation order or process.
-Partitioned results are merged by feeding the measured values back
-through the experiment's own :func:`run` (its ``point_results`` /
-``cell_results`` parameter), so a parallel run's output is identical
-to a serial run's except for the wall-clock ``elapsed_seconds``.
+The grid contract: a gridded experiment module exposes
+
+* ``plan_cells(quick, **grid) -> [(key, kwargs), ...]`` — its cells;
+* ``measure_cell(seed=..., **kwargs)`` — one cell, built from the seed;
+* ``run(quick, seed, cell_results=None, **grid)`` — the render step,
+  over ``cell_results`` when given, else over cells it measures itself
+  (see :func:`.common.grid_cells`).
+
+Determinism: every cell builds its own deployment from the seed, so
+values cannot depend on evaluation order or process. Measured cells
+are merged by feeding them back through the experiment's own ``run``,
+so a parallel run's output is identical to a serial run's except for
+the wall-clock ``elapsed_seconds``.
 
 Telemetry: a telemetry session is process-global state tied to one
 simulator at a time, so when collection is on, partitioning is
 disabled — each experiment runs whole inside one worker, which
 installs its own session and exports its own metrics files.
 
-Fallback: with ``--parallel 1``, or on platforms without the ``fork``
+Fallback: with ``processes=1``, or on platforms without the ``fork``
 start method, the same job plan executes in-process — no pool, no
-pickling — and produces byte-identical results (every job builds its
-deployment from the seed, so values never depend on where they ran).
+pickling — one experiment after another in ``selected`` order.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
 import time
 from pathlib import Path
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..kernel import paused_gc
 from . import (
@@ -40,33 +47,36 @@ from . import (
     table1_l4s,
 )
 
-__all__ = ["run_parallel"]
+__all__ = ["run_parallel", "GRIDS"]
 
-#: Rough --quick wall-clock (seconds) per whole experiment, used only
-#: for longest-first submission order. Full runs scale all entries up
-#: roughly uniformly, which preserves the ordering.
-_WHOLE_WEIGHTS = {
-    "fig1": 4.0,
-    "fig5": 8.5,
-    "fig6": 14.0,
-    "fig7": 2.0,
-    "table1": 60.0,
-    "table1_aqm": 40.0,
-    "table1_l4s": 50.0,
-    "fig8": 0.5,
-    "fig9": 11.0,
-    "fig_adaptation": 5.0,
-    "garnet_xl": 25.0,
+#: The gridded experiments, partitioned into one job per cell.
+GRIDS = {
+    "fig6": fig6_visualization,
+    "table1": table1_burstiness,
+    "table1_aqm": table1_aqm,
+    "table1_l4s": table1_l4s,
+    "fig_adaptation": fig_adaptation,
 }
-#: One fig_adaptation flavor is a single fixed-duration run.
-_FIG_ADAPTATION_CELL_WEIGHT = 2.5
-_FIG6_POINT_WEIGHT = 2.0
-#: A table1 cell runs ~5-10 bisection probes; probe cost grows with
-#: the cell's target bandwidth, so weight by it (the constant only
-#: has to rank cells above fig6 points and scale with bandwidth).
-_TABLE1_CELL_WEIGHT_PER_KBPS = 0.008
-#: A table1_aqm cell is a single (non-bisected) run of the same probe.
-_TABLE1_AQM_CELL_WEIGHT_PER_KBPS = 0.001
+
+#: Submission-order weights: rough --quick wall-clock seconds of the
+#: whole experiment, and for gridded ones the weight of one cell as a
+#: function of its key. Full runs scale every entry up roughly
+#: uniformly, which preserves the ordering. A table1 cell runs ~5-10
+#: bisection probes and a table1_aqm/l4s cell one probe, each costing
+#: in proportion to the cell's target bandwidth (``key[0]``).
+_WEIGHTS: Dict[str, Tuple[float, Optional[Callable[[Any], float]]]] = {
+    "fig1": (4.0, None),
+    "fig5": (8.5, None),
+    "fig6": (14.0, lambda key: 2.0),
+    "fig7": (2.0, None),
+    "table1": (60.0, lambda key: 0.008 * key[0]),
+    "table1_aqm": (40.0, lambda key: 0.001 * key[0]),
+    "table1_l4s": (50.0, lambda key: 0.001 * key[0]),
+    "fig8": (0.5, None),
+    "fig9": (11.0, None),
+    "fig_adaptation": (5.0, lambda key: 2.5),
+    "garnet_xl": (25.0, None),
+}
 
 
 class _Job(NamedTuple):
@@ -77,14 +87,22 @@ class _Job(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Worker functions (module level so the pool can pickle them).
+# Job functions (module level so the pool can pickle them).
 # ---------------------------------------------------------------------------
 
 
 def _whole_job(
-    name: str, quick: bool, seed: int, collect: bool, out: Optional[str]
+    name: str,
+    quick: bool,
+    seed: int,
+    collect: bool,
+    out: Optional[str],
+    options: Dict[str, Any],
 ):
-    """Run one experiment end to end; returns (result, elapsed, summary)."""
+    """Run one experiment end to end; returns (result, elapsed, summary).
+
+    ``options`` carries the runner's non-default ``mode`` / ``shards``.
+    """
     from .. import telemetry
     from .runner import EXPERIMENTS, make_telemetry
 
@@ -93,10 +111,14 @@ def _whole_job(
         tel = make_telemetry()
         telemetry.install(tel)
     started = time.time()
+    # A simulation run allocates at a steady rate and drops whole
+    # object graphs at once; generational GC only adds pauses, so it
+    # is suspended for the run and one full collection follows it.
     try:
         with paused_gc():
-            result = EXPERIMENTS[name](quick=quick, seed=seed)
+            result = EXPERIMENTS[name](quick=quick, seed=seed, **options)
     finally:
+        gc.collect()
         if tel is not None:
             telemetry.uninstall()
     elapsed = time.time() - started
@@ -116,38 +138,11 @@ def _whole_job(
     return result, elapsed, summary
 
 
-def _fig6_point_job(kwargs: dict, seed: int):
+def _cell_job(name: str, kwargs: dict, seed: int):
+    """Measure one cell of a gridded experiment; returns (value, elapsed)."""
     started = time.time()
     with paused_gc():
-        value = fig6_visualization.measure_point(seed=seed, **kwargs)
-    return value, time.time() - started
-
-
-def _table1_cell_job(kwargs: dict, seed: int):
-    started = time.time()
-    with paused_gc():
-        value = table1_burstiness.required_reservation(seed=seed, **kwargs)
-    return value, time.time() - started
-
-
-def _table1_aqm_cell_job(kwargs: dict, seed: int):
-    started = time.time()
-    with paused_gc():
-        value = table1_aqm.measure_cell(seed=seed, **kwargs)
-    return value, time.time() - started
-
-
-def _table1_l4s_cell_job(kwargs: dict, seed: int):
-    started = time.time()
-    with paused_gc():
-        value = table1_l4s.measure_cell(seed=seed, **kwargs)
-    return value, time.time() - started
-
-
-def _fig_adaptation_cell_job(kwargs: dict, seed: int):
-    started = time.time()
-    with paused_gc():
-        value = fig_adaptation.measure_cell(seed=seed, **kwargs)
+        value = GRIDS[name].measure_cell(seed=seed, **kwargs)
     return value, time.time() - started
 
 
@@ -157,78 +152,28 @@ def _fig_adaptation_cell_job(kwargs: dict, seed: int):
 
 
 def _plan(
-    selected: List[str],
+    name: str,
     quick: bool,
     seed: int,
     collect: bool,
     out: Optional[str],
+    options: Dict[str, Any],
 ) -> List[_Job]:
-    partition = not collect
-    jobs: List[_Job] = []
-    for name in selected:
-        if partition and name == "fig6":
-            for key, kwargs in fig6_visualization.plan_points(quick=quick):
-                jobs.append(
-                    _Job(
-                        ("fig6", key),
-                        _FIG6_POINT_WEIGHT,
-                        _fig6_point_job,
-                        (kwargs, seed),
-                    )
-                )
-        elif partition and name == "table1":
-            for key, kwargs in table1_burstiness.plan_cells(quick=quick):
-                bandwidth = key[0]
-                jobs.append(
-                    _Job(
-                        ("table1", key),
-                        bandwidth * _TABLE1_CELL_WEIGHT_PER_KBPS,
-                        _table1_cell_job,
-                        (kwargs, seed),
-                    )
-                )
-        elif partition and name == "table1_aqm":
-            for key, kwargs in table1_aqm.plan_cells(quick=quick):
-                bandwidth = key[0]
-                jobs.append(
-                    _Job(
-                        ("table1_aqm", key),
-                        bandwidth * _TABLE1_AQM_CELL_WEIGHT_PER_KBPS,
-                        _table1_aqm_cell_job,
-                        (kwargs, seed),
-                    )
-                )
-        elif partition and name == "table1_l4s":
-            for key, kwargs in table1_l4s.plan_cells(quick=quick):
-                bandwidth = key[0]
-                jobs.append(
-                    _Job(
-                        ("table1_l4s", key),
-                        bandwidth * _TABLE1_AQM_CELL_WEIGHT_PER_KBPS,
-                        _table1_l4s_cell_job,
-                        (kwargs, seed),
-                    )
-                )
-        elif partition and name == "fig_adaptation":
-            for key, kwargs in fig_adaptation.plan_cells(quick=quick):
-                jobs.append(
-                    _Job(
-                        ("fig_adaptation", key),
-                        _FIG_ADAPTATION_CELL_WEIGHT,
-                        _fig_adaptation_cell_job,
-                        (kwargs, seed),
-                    )
-                )
-        else:
-            jobs.append(
-                _Job(
-                    ("whole", name),
-                    _WHOLE_WEIGHTS.get(name, 5.0),
-                    _whole_job,
-                    (name, quick, seed, collect, out),
-                )
-            )
-    return jobs
+    """One experiment's jobs: a job per cell, or one whole job."""
+    whole_weight, cell_weight = _WEIGHTS.get(name, (5.0, None))
+    if name in GRIDS and not collect:
+        return [
+            _Job((name, key), cell_weight(key), _cell_job, (name, kwargs, seed))
+            for key, kwargs in GRIDS[name].plan_cells(quick)
+        ]
+    return [
+        _Job(
+            (name, None),
+            whole_weight,
+            _whole_job,
+            (name, quick, seed, collect, out, options),
+        )
+    ]
 
 
 def run_parallel(
@@ -238,84 +183,59 @@ def run_parallel(
     processes: int,
     collect: bool = False,
     out: Optional[Path] = None,
+    options: Optional[Dict[str, Any]] = None,
+    on_result: Optional[Callable[..., None]] = None,
 ):
     """Run ``selected`` experiments over ``processes`` workers.
 
     Returns ``[(name, result, elapsed_seconds, telemetry_summary)]``
-    in ``selected`` order. ``elapsed_seconds`` for a partitioned
-    experiment is the summed worker time (its CPU cost, not critical
+    in ``selected`` order, and hands each entry to ``on_result`` as
+    soon as it is merged. ``elapsed_seconds`` for a partitioned
+    experiment is the summed cell time (its CPU cost, not critical
     path). ``telemetry_summary`` is ``(n_metrics, n_span_events)`` or
-    None when collection is off.
+    None when collection is off. ``options`` (the runner's ``mode`` /
+    ``shards``) is passed to whole-experiment jobs.
     """
-    jobs = _plan(selected, quick, seed, collect, str(out) if out else None)
-    # Longest first: the heaviest job bounds the pool's critical path,
-    # so it must never be picked up last.
-    ordered = sorted(jobs, key=lambda j: -j.weight)
-    raw: Dict[Tuple[str, Any], Any] = {}
+    out_str = str(out) if out else None
+    plans = [
+        (name, _plan(name, quick, seed, collect, out_str, options or {}))
+        for name in selected
+    ]
     if processes <= 1 or "fork" not in mp.get_all_start_methods():
         # In-process fallback: same plan, same merge, no pool. Each
         # job rebuilds its deployment from the seed, so the output is
         # byte-identical to a pooled run.
-        for job in ordered:
-            raw[job.key] = job.fn(*job.args)
-    else:
-        # Fork keeps worker startup cheap and inherits the imported
-        # stack.
-        ctx = mp.get_context("fork")
-        with ctx.Pool(processes=processes) as pool:
-            pending = [
-                (job.key, pool.apply_async(job.fn, job.args))
-                for job in ordered
-            ]
-            pool.close()
-            for key, handle in pending:
-                raw[key] = handle.get()
-            pool.join()
+        return _merge(plans, quick, seed, on_result, lambda job: job.fn(*job.args))
+    # Fork keeps worker startup cheap and inherits the imported stack.
+    ctx = mp.get_context("fork")
+    with ctx.Pool(processes=processes) as pool:
+        # Longest first: the heaviest job bounds the pool's critical
+        # path, so it must never be picked up last.
+        ordered = sorted(
+            (job for _, jobs in plans for job in jobs),
+            key=lambda j: -j.weight,
+        )
+        handles = {job.key: pool.apply_async(job.fn, job.args) for job in ordered}
+        pool.close()
+        results = _merge(
+            plans, quick, seed, on_result, lambda job: handles[job.key].get()
+        )
+        pool.join()
+    return results
 
+
+def _merge(plans, quick, seed, on_result, fetch):
+    """Collect each experiment's jobs via ``fetch`` and assemble its result."""
     results = []
-    partition = not collect
-    for name in selected:
-        if partition and name == "fig6":
-            keys = [k for k, _ in fig6_visualization.plan_points(quick=quick)]
-            values = {k: raw[("fig6", k)][0] for k in keys}
-            elapsed = sum(raw[("fig6", k)][1] for k in keys)
-            result = fig6_visualization.run(
-                quick=quick, seed=seed, point_results=values
-            )
-            results.append((name, result, elapsed, None))
-        elif partition and name == "table1":
-            keys = [k for k, _ in table1_burstiness.plan_cells(quick=quick)]
-            values = {k: raw[("table1", k)][0] for k in keys}
-            elapsed = sum(raw[("table1", k)][1] for k in keys)
-            result = table1_burstiness.run(
-                quick=quick, seed=seed, cell_results=values
-            )
-            results.append((name, result, elapsed, None))
-        elif partition and name == "table1_aqm":
-            keys = [k for k, _ in table1_aqm.plan_cells(quick=quick)]
-            values = {k: raw[("table1_aqm", k)][0] for k in keys}
-            elapsed = sum(raw[("table1_aqm", k)][1] for k in keys)
-            result = table1_aqm.run(
-                quick=quick, seed=seed, cell_results=values
-            )
-            results.append((name, result, elapsed, None))
-        elif partition and name == "table1_l4s":
-            keys = [k for k, _ in table1_l4s.plan_cells(quick=quick)]
-            values = {k: raw[("table1_l4s", k)][0] for k in keys}
-            elapsed = sum(raw[("table1_l4s", k)][1] for k in keys)
-            result = table1_l4s.run(
-                quick=quick, seed=seed, cell_results=values
-            )
-            results.append((name, result, elapsed, None))
-        elif partition and name == "fig_adaptation":
-            keys = [k for k, _ in fig_adaptation.plan_cells(quick=quick)]
-            values = {k: raw[("fig_adaptation", k)][0] for k in keys}
-            elapsed = sum(raw[("fig_adaptation", k)][1] for k in keys)
-            result = fig_adaptation.run(
-                quick=quick, seed=seed, cell_results=values
-            )
-            results.append((name, result, elapsed, None))
+    for name, jobs in plans:
+        raw = {job.key[1]: fetch(job) for job in jobs}
+        if jobs[0].fn is _cell_job:
+            cells = {key: value for key, (value, _) in raw.items()}
+            result = GRIDS[name].run(quick=quick, seed=seed, cell_results=cells)
+            entry = (name, result, sum(t for _, t in raw.values()), None)
         else:
-            result, elapsed, summary = raw[("whole", name)]
-            results.append((name, result, elapsed, summary))
+            entry = (name, *raw[None])
+        results.append(entry)
+        if on_result is not None:
+            on_result(*entry)
     return results

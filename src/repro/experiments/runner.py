@@ -3,14 +3,15 @@
 Usage::
 
     mpichgq-experiments [--quick] [--seed N] [--out DIR] [--parallel N]
-                        [exp ...]
+                        [--mode packet|hybrid] [--shards N] [exp ...]
 
 where ``exp`` is any of: fig1 fig5 fig6 fig7 table1 table1_aqm
 table1_l4s fig8 fig9 fig_adaptation garnet_xl (default: all, in paper
 order). ``--quick`` runs the scaled-down variants the
-benchmark suite uses. ``--parallel N`` fans the work out over N worker
-processes (see :mod:`repro.experiments.parallel`); results are
-identical to a serial run except for ``elapsed_seconds``. ``--shards
+benchmark suite uses. Every run executes the job plan of
+:mod:`repro.experiments.parallel`: in-process by default, over N worker
+processes with ``--parallel N``; results are identical either way
+except for ``elapsed_seconds``. ``--shards
 N`` partitions a single simulation across N PDES workers (see
 :mod:`repro.pdes`) for the experiments that support it; merged results
 are byte-identical to the 1-shard run.
@@ -19,14 +20,11 @@ are byte-identical to the 1-shard run.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import sys
-import time
 from pathlib import Path
 
 from .. import telemetry
-from ..kernel import paused_gc
 from . import (
     fig1_tcp_reservation,
     fig5_pingpong,
@@ -40,6 +38,7 @@ from . import (
     table1_burstiness,
     table1_l4s,
 )
+from .parallel import run_parallel
 from .report import render_result
 
 __all__ = ["main", "EXPERIMENTS", "make_telemetry"]
@@ -113,6 +112,9 @@ def _report(name, result, elapsed, summary, args) -> None:
             json.dumps(_payload(result, args.quick, args.seed, elapsed), indent=2)
         )
         print(f"[wrote {path}]\n")
+        if summary is not None:
+            print(f"[wrote {args.out / f'{name}.metrics.json'} and "
+                  f"{args.out / f'{name}.metrics.csv'}]\n")
 
 
 def main(argv=None) -> int:
@@ -174,7 +176,7 @@ def main(argv=None) -> int:
     if args.shards < 1:
         parser.error(f"--shards must be >= 1, got {args.shards}")
 
-    selected_early = args.experiments or list(EXPERIMENTS)
+    selected = args.experiments or list(EXPERIMENTS)
     if args.shards > 1:
         import inspect
 
@@ -184,7 +186,7 @@ def main(argv=None) -> int:
                 "--parallel fans whole experiments out; pick one"
             )
         unsupported = [
-            name for name in selected_early
+            name for name in selected
             if "shards" not in inspect.signature(EXPERIMENTS[name]).parameters
         ]
         if unsupported:
@@ -197,9 +199,8 @@ def main(argv=None) -> int:
 
         if args.parallel > 1:
             parser.error("--mode hybrid runs serially; drop --parallel")
-
         unsupported = [
-            name for name in selected_early
+            name for name in selected
             if "mode" not in inspect.signature(EXPERIMENTS[name]).parameters
         ]
         if unsupported:
@@ -214,60 +215,21 @@ def main(argv=None) -> int:
     collect_metrics = (
         args.telemetry if args.telemetry is not None else args.out is not None
     )
-
-    selected = args.experiments or list(EXPERIMENTS)
-
-    if args.parallel > 1:
-        from .parallel import run_parallel
-
-        results = run_parallel(
-            selected,
-            quick=args.quick,
-            seed=args.seed,
-            processes=args.parallel,
-            collect=collect_metrics,
-            out=args.out,
-        )
-        for name, result, elapsed, summary in results:
-            _report(name, result, elapsed, summary, args)
-        return 0
-
-    for name in selected:
-        tel = None
-        if collect_metrics:
-            tel = make_telemetry()
-            telemetry.install(tel)
-        started = time.time()
-        # A simulation run allocates at a steady rate and drops whole
-        # object graphs at once; generational GC only adds pauses, so
-        # it is suspended for the duration of the experiment.
-        try:
-            kwargs = {"quick": args.quick, "seed": args.seed}
-            if args.mode != "packet":
-                kwargs["mode"] = args.mode
-            if args.shards > 1:
-                kwargs["shards"] = args.shards
-            with paused_gc():
-                result = EXPERIMENTS[name](**kwargs)
-        finally:
-            gc.collect()
-            if tel is not None:
-                telemetry.uninstall()
-        elapsed = time.time() - started
-        summary = None
-        if tel is not None:
-            tel.collect()
-            snap = tel.snapshot()
-            summary = (len(snap["metrics"]), snap["span_count"])
-        _report(name, result, elapsed, summary, args)
-        if tel is not None and args.out is not None:
-            meta = {"experiment": name, "quick": args.quick,
-                    "seed": args.seed}
-            mpath = args.out / f"{name}.metrics.json"
-            telemetry.export_json(tel, mpath, meta=meta)
-            cpath = args.out / f"{name}.metrics.csv"
-            telemetry.export_csv(tel, cpath)
-            print(f"[wrote {mpath} and {cpath}]\n")
+    options = {}
+    if args.mode != "packet":
+        options["mode"] = args.mode
+    if args.shards > 1:
+        options["shards"] = args.shards
+    run_parallel(
+        selected,
+        quick=args.quick,
+        seed=args.seed,
+        processes=args.parallel,
+        collect=collect_metrics,
+        out=args.out,
+        options=options,
+        on_result=lambda *entry: _report(*entry, args),
+    )
     return 0
 
 

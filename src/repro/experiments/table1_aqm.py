@@ -26,12 +26,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..aqm import AqmPolicy
 from ..apps import VisualizationPipeline
-from ..net import KB, kbps, mbps
+from ..net import kbps, mbps
 from ..transport.tcp import TcpConfig
-from .common import ExperimentResult, build_deployment
+from .common import ExperimentResult, build_deployment, grid_cells
 from .table1_burstiness import CONFIGS, FULL_BANDWIDTHS, QUICK_BANDWIDTHS
 
-__all__ = ["run", "measure_cell", "plan_cells", "RES_FACTOR", "MODES"]
+__all__ = [
+    "run",
+    "measure_cell",
+    "plan_cells",
+    "plan_modes",
+    "render",
+    "RES_FACTOR",
+    "MODES",
+]
 
 #: This experiment's fixed mode grid. Deliberately *not*
 #: ``repro.aqm.AQM_MODES`` — new disciplines joining that registry
@@ -53,23 +61,32 @@ def measure_cell(
     seed: int = 0,
     duration: float = 8.0,
 ) -> Dict[str, float]:
-    """One grid cell under one AQM mode.
+    """One grid cell under one AQM mode (any of ``repro.aqm.AQM_MODES``).
 
-    Same deployment recipe as :func:`..fig6_visualization.measure_point`
+    Same deployment recipe as :func:`..fig6_visualization.measure_cell`
     (30 Mb/s backbone, 40 Mb/s UDP contention, period-correct Reno with
     a 300 ms RTO floor), but with the domain's AQM policy switched and
-    the loss-recovery cost captured alongside the throughput.
+    the loss-recovery cost and AF-band queue delay captured alongside
+    the throughput. ``dualpi2`` runs the full L4S stack instead: DCTCP's
+    proportional ECN response and CUBIC growth, because L4S only
+    delivers its latency story when a scalable sender feeds the L queue.
     """
     aqm = None if mode == "droptail" else AqmPolicy(mode=mode)
+    if mode == "dualpi2":
+        tcp_config = TcpConfig(
+            min_rto=0.3, ecn=True, ecn_response="dctcp", cc="cubic"
+        )
+    else:
+        # Same transport for every classic row, so they isolate the
+        # queue discipline.
+        tcp_config = TcpConfig(
+            recovery="reno", min_rto=0.3, ecn=aqm is not None and aqm.ecn
+        )
     dep = build_deployment(
         seed=seed,
         backbone_bandwidth=mbps(30.0),
         contention_rate=mbps(40.0),
-        tcp_config=TcpConfig(
-            recovery="reno",
-            min_rto=0.3,
-            ecn=aqm is not None and aqm.ecn,
-        ),
+        tcp_config=tcp_config,
         aqm=aqm,
     )
     sim, gq = dep.sim, dep.gq
@@ -89,7 +106,7 @@ def measure_cell(
         else 0.0
     )
 
-    resent = timeouts = ce = 0
+    resent = timeouts = ce = responses = 0
     from ..net.packet import PROTO_TCP
 
     for proc in gq.world.procs:
@@ -100,7 +117,10 @@ def measure_cell(
             resent += conn.resent_segments
             timeouts += conn.timeouts
             ce += conn.ecn_ce_received
+            responses += conn.ecn_responses
     early = tail = marks = 0
+    sojourn_sum = 0.0
+    sojourn_count = 0
     for qdisc in gq.domain.priority_qdiscs:
         bands = getattr(qdisc, "bands", None)
         if bands is None or callable(bands):
@@ -109,6 +129,11 @@ def measure_cell(
             early += getattr(band, "early_drops", 0)
             tail += getattr(band, "tail_drops", 0)
             marks += getattr(band, "ecn_marks", 0)
+            sojourn_sum += getattr(band, "sojourn_sum", 0.0)
+            sojourn_count += getattr(band, "sojourn_count", 0)
+    queue_delay_ms = (
+        sojourn_sum / sojourn_count * 1e3 if sojourn_count else 0.0
+    )
     return {
         "reservation_kbps": reservation_kbps,
         "throughput_kbps": throughput,
@@ -118,33 +143,24 @@ def measure_cell(
         "tail_drops": tail,
         "ecn_marks": marks,
         "ce_received": ce,
+        "ecn_responses": responses,
+        "queue_delay_ms": queue_delay_ms,
     }
 
 
-def _resolve_grid(
-    quick: bool,
-    bandwidths_kbps: Optional[Sequence[float]],
-    duration: Optional[float],
-) -> Tuple[Sequence[float], float]:
-    if bandwidths_kbps is None:
-        bandwidths_kbps = QUICK_BANDWIDTHS if quick else FULL_BANDWIDTHS
-    if duration is None:
-        duration = 5.0 if quick else 8.0
-    return bandwidths_kbps, duration
-
-
-def plan_cells(
+def plan_modes(
+    modes: Sequence[str],
     quick: bool = False,
     bandwidths_kbps: Optional[Sequence[float]] = None,
     duration: Optional[float] = None,
 ) -> List[Tuple[Tuple[float, str, str], dict]]:
-    """The grid as independent jobs, keyed ``(bandwidth, config, mode)``.
-
-    Each cell builds a fresh deployment from the seed, so cells
-    parallelise without changing any value; :func:`run`'s
-    ``cell_results`` merges them through the serial assembly path.
-    """
-    bandwidths_kbps, duration = _resolve_grid(quick, bandwidths_kbps, duration)
+    """The Table 1 grid crossed with ``modes``, as
+    ``[(key, measure_cell_kwargs), ...]`` keyed ``(bandwidth, config,
+    mode)``."""
+    if bandwidths_kbps is None:
+        bandwidths_kbps = QUICK_BANDWIDTHS if quick else FULL_BANDWIDTHS
+    if duration is None:
+        duration = 5.0 if quick else 8.0
     return [
         (
             (bandwidth, label, mode),
@@ -158,76 +174,81 @@ def plan_cells(
         )
         for bandwidth in bandwidths_kbps
         for label, fps, divisor in CONFIGS
-        for mode in MODES
+        for mode in modes
     ]
+
+
+def plan_cells(quick: bool = False, **grid):
+    """This table's cells: :func:`plan_modes` over :data:`MODES`."""
+    return plan_modes(MODES, quick, **grid)
+
+
+#: Per-cell fields shown as columns, after (bandwidth, config, mode).
+_COLUMNS = (
+    "reservation_kbps",
+    "throughput_kbps",
+    "resent_segments",
+    "timeouts",
+    "early_drops",
+    "tail_drops",
+    "ecn_marks",
+)
+
+
+def render(
+    experiment: str,
+    description: str,
+    modes: Sequence[str],
+    cells: Dict[Tuple[float, str, str], Dict[str, float]],
+    queue_delay: bool = False,
+) -> ExperimentResult:
+    """Tabulate measured cells with per-mode totals in ``extra``;
+    ``queue_delay`` adds the ``queue_delay_ms`` column and each mode's
+    mean of it."""
+    columns = _COLUMNS + (("queue_delay_ms",) if queue_delay else ())
+    result = ExperimentResult(
+        experiment=experiment,
+        description=description,
+        headers=["bandwidth_kbps", "config", "mode", *columns],
+    )
+    totals = {
+        mode: {"resent": 0, "timeouts": 0, "throughput": 0.0,
+               "delay_sum": 0.0, "cells": 0}
+        for mode in modes
+    }
+    for (bandwidth, label, mode), cell in cells.items():
+        result.rows.append([bandwidth, label, mode] + [cell[c] for c in columns])
+        t = totals[mode]
+        t["resent"] += cell["resent_segments"]
+        t["timeouts"] += cell["timeouts"]
+        t["throughput"] += cell["throughput_kbps"]
+        t["delay_sum"] += cell["queue_delay_ms"]
+        t["cells"] += 1
+    for mode in modes:
+        key = mode.replace("+", "_")
+        t = totals[mode]
+        result.extra[f"{key}_resent_segments"] = t["resent"]
+        result.extra[f"{key}_timeouts"] = t["timeouts"]
+        result.extra[f"{key}_total_throughput_kbps"] = t["throughput"]
+        if queue_delay:
+            result.extra[f"{key}_mean_queue_delay_ms"] = (
+                t["delay_sum"] / t["cells"] if t["cells"] else 0.0
+            )
+    return result
 
 
 def run(
     quick: bool = False,
     seed: int = 0,
-    bandwidths_kbps: Optional[Sequence[float]] = None,
-    duration: Optional[float] = None,
     cell_results: Optional[Dict[Tuple[float, str, str], Dict[str, float]]] = None,
+    **grid,
 ) -> ExperimentResult:
-    """Produce the AQM-ablation table.
-
-    ``cell_results`` optionally supplies precomputed cell measurements
-    (keyed as in :func:`plan_cells`) so the parallel runner merges
-    through the same assembly code as a serial run.
-    """
-    bandwidths_kbps, duration = _resolve_grid(quick, bandwidths_kbps, duration)
-
-    result = ExperimentResult(
-        experiment="table1_aqm",
-        description=f"Table 1 grid at {RES_FACTOR:.0%} reservation: "
+    """Produce the AQM-ablation table (``grid`` as in :func:`plan_modes`)."""
+    cells = grid_cells(plan_cells, measure_cell, quick, seed, grid, cell_results)
+    return render(
+        "table1_aqm",
+        f"Table 1 grid at {RES_FACTOR:.0%} reservation: "
         "drop-tail vs WRED vs WRED+ECN",
-        headers=[
-            "bandwidth_kbps",
-            "config",
-            "mode",
-            "reservation_kbps",
-            "throughput_kbps",
-            "resent_segments",
-            "timeouts",
-            "early_drops",
-            "tail_drops",
-            "ecn_marks",
-        ],
+        MODES,
+        cells,
     )
-    totals = {mode: {"resent": 0, "timeouts": 0, "throughput": 0.0}
-              for mode in MODES}
-    for bandwidth in bandwidths_kbps:
-        for label, fps, divisor in CONFIGS:
-            for mode in MODES:
-                if cell_results is not None:
-                    cell = cell_results[(bandwidth, label, mode)]
-                else:
-                    cell = measure_cell(
-                        bandwidth,
-                        fps,
-                        divisor,
-                        mode,
-                        seed=seed,
-                        duration=duration,
-                    )
-                result.rows.append([
-                    bandwidth,
-                    label,
-                    mode,
-                    cell["reservation_kbps"],
-                    cell["throughput_kbps"],
-                    cell["resent_segments"],
-                    cell["timeouts"],
-                    cell["early_drops"],
-                    cell["tail_drops"],
-                    cell["ecn_marks"],
-                ])
-                totals[mode]["resent"] += cell["resent_segments"]
-                totals[mode]["timeouts"] += cell["timeouts"]
-                totals[mode]["throughput"] += cell["throughput_kbps"]
-    for mode in MODES:
-        key = mode.replace("+", "_")
-        result.extra[f"{key}_resent_segments"] = totals[mode]["resent"]
-        result.extra[f"{key}_timeouts"] = totals[mode]["timeouts"]
-        result.extra[f"{key}_total_throughput_kbps"] = totals[mode]["throughput"]
-    return result

@@ -24,10 +24,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..diffserv.token_bucket import LARGE_DEPTH_DIVISOR, NORMAL_DEPTH_DIVISOR
 from ..net import KB
-from .common import ExperimentResult
-from .fig6_visualization import measure_point
+from . import fig6_visualization
+from .common import ExperimentResult, grid_cells
 
-__all__ = ["run", "required_reservation", "plan_cells"]
+__all__ = ["run", "measure_cell", "plan_cells"]
 
 FULL_BANDWIDTHS = (400, 800, 1600, 2400)
 QUICK_BANDWIDTHS = (400, 1600)
@@ -40,7 +40,7 @@ CONFIGS = (
 )
 
 
-def required_reservation(
+def measure_cell(
     bandwidth_kbps: float,
     fps: float,
     bucket_divisor: float,
@@ -55,7 +55,7 @@ def required_reservation(
     target = bandwidth_kbps
 
     def adequate(reservation: float) -> bool:
-        achieved = measure_point(
+        achieved = fig6_visualization.measure_cell(
             frame_kb=frame_bytes / KB,
             reservation_kbps=reservation,
             seed=seed,
@@ -79,36 +79,19 @@ def required_reservation(
     return hi
 
 
-def _resolve_grid(
-    quick: bool,
-    bandwidths_kbps: Optional[Sequence[float]],
-    duration: Optional[float],
-) -> Tuple[Sequence[float], float, float]:
-    if bandwidths_kbps is None:
-        bandwidths_kbps = QUICK_BANDWIDTHS if quick else FULL_BANDWIDTHS
-    if duration is None:
-        duration = 5.0 if quick else 8.0
-    resolution = 100.0 if quick else 50.0
-    return bandwidths_kbps, duration, resolution
-
-
 def plan_cells(
     quick: bool = False,
     bandwidths_kbps: Optional[Sequence[float]] = None,
     duration: Optional[float] = None,
 ) -> List[Tuple[Tuple[float, str], dict]]:
-    """The table's cells as independent bisection jobs.
-
-    Returns ``[(key, required_reservation_kwargs), ...]`` with ``key``
-    ``(bandwidth_kbps, config_label)``. Each cell's bisection is
-    internally sequential but cells are independent — each probe
-    builds a fresh deployment from the seed — so they parallelise
-    without changing any value; :func:`run`'s ``cell_results`` merges
-    them through the serial assembly path.
-    """
-    bandwidths_kbps, duration, resolution = _resolve_grid(
-        quick, bandwidths_kbps, duration
-    )
+    """The table's cells as ``[(key, measure_cell_kwargs), ...]``,
+    keyed ``(bandwidth_kbps, config_label)``. Each cell's bisection is
+    sequential, but cells are independent of each other."""
+    if bandwidths_kbps is None:
+        bandwidths_kbps = QUICK_BANDWIDTHS if quick else FULL_BANDWIDTHS
+    if duration is None:
+        duration = 5.0 if quick else 8.0
+    resolution = 100.0 if quick else 50.0
     return [
         (
             (bandwidth, label),
@@ -128,48 +111,21 @@ def plan_cells(
 def run(
     quick: bool = False,
     seed: int = 0,
-    bandwidths_kbps: Optional[Sequence[float]] = None,
-    duration: Optional[float] = None,
     cell_results: Optional[Dict[Tuple[float, str], float]] = None,
+    **grid,
 ) -> ExperimentResult:
-    """Produce the Table 1 result.
-
-    ``cell_results`` optionally supplies precomputed cell values
-    (keyed as in :func:`plan_cells`) so the parallel runner merges
-    through the same assembly code as a serial run.
-    """
-    bandwidths_kbps, duration, resolution = _resolve_grid(
-        quick, bandwidths_kbps, duration
-    )
-
+    """Produce the Table 1 result (``grid`` as in :func:`plan_cells`)."""
+    cells = grid_cells(plan_cells, measure_cell, quick, seed, grid, cell_results)
     result = ExperimentResult(
         experiment="table1",
         description="reservation required for target throughput vs "
         "burstiness and bucket depth",
-        headers=[
-            "bandwidth_kbps",
-            "normal_10fps",
-            "normal_1fps",
-            "large_1fps",
-        ],
+        headers=["bandwidth_kbps"] + [label for label, _, _ in CONFIGS],
     )
-    for bandwidth in bandwidths_kbps:
-        row = [bandwidth]
-        for label, fps, divisor in CONFIGS:
-            if cell_results is not None:
-                row.append(cell_results[(bandwidth, label)])
-            else:
-                row.append(
-                    required_reservation(
-                        bandwidth,
-                        fps,
-                        divisor,
-                        seed=seed,
-                        duration=duration,
-                        resolution_kbps=resolution,
-                    )
-                )
-        result.rows.append(row)
+    rows: Dict[float, list] = {}
+    for (bandwidth, _label), reservation in cells.items():
+        rows.setdefault(bandwidth, [bandwidth]).append(reservation)
+    result.rows.extend(rows.values())
     # Headline ratios the paper calls out.
     ratios = [
         row[2] / row[1]

@@ -25,15 +25,10 @@ standing queue near their targets where WRED rides its curve knee.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..aqm import AqmPolicy
-from ..apps import VisualizationPipeline
-from ..net import kbps, mbps
-from ..transport.tcp import TcpConfig
-from .common import ExperimentResult, build_deployment
-from .table1_aqm import RES_FACTOR
-from .table1_burstiness import CONFIGS, FULL_BANDWIDTHS, QUICK_BANDWIDTHS
+from .common import ExperimentResult, grid_cells
+from .table1_aqm import RES_FACTOR, measure_cell, plan_modes, render
 
 __all__ = ["run", "measure_cell", "plan_cells", "MODES"]
 
@@ -41,210 +36,24 @@ __all__ = ["run", "measure_cell", "plan_cells", "MODES"]
 MODES = ("wred+ecn", "codel", "pie", "dualpi2")
 
 
-def _tcp_config(mode: str) -> TcpConfig:
-    if mode == "dualpi2":
-        # The L4S pairing: scalable DCTCP response + CUBIC growth.
-        return TcpConfig(
-            min_rto=0.3,
-            ecn=True,
-            ecn_response="dctcp",
-            cc="cubic",
-        )
-    # Period-correct transport, identical to table1_aqm's, so the
-    # classic-AQM rows isolate the queue discipline.
-    return TcpConfig(recovery="reno", min_rto=0.3, ecn=True)
-
-
-def measure_cell(
-    bandwidth_kbps: float,
-    fps: float,
-    bucket_divisor: float,
-    mode: str,
-    seed: int = 0,
-    duration: float = 8.0,
-) -> Dict[str, float]:
-    """One grid cell under one mode (deployment recipe as table1_aqm)."""
-    aqm = AqmPolicy(mode=mode)
-    dep = build_deployment(
-        seed=seed,
-        backbone_bandwidth=mbps(30.0),
-        contention_rate=mbps(40.0),
-        tcp_config=_tcp_config(mode),
-        aqm=aqm,
-    )
-    sim, gq = dep.sim, dep.gq
-    reservation_kbps = bandwidth_kbps * RES_FACTOR
-    gq.agent.reserve_flows(
-        0, 1, kbps(reservation_kbps), bucket_divisor=bucket_divisor
-    )
-    frame_bytes = int(bandwidth_kbps * 1e3 / fps / 8.0)
-    app = VisualizationPipeline(
-        frame_bytes=frame_bytes, fps=fps, duration=duration
-    )
-    gq.world.launch(app.main)
-    sim.run(until=duration * 4 + 5.0)
-    throughput = (
-        app.achieved_bandwidth_kbps(1.0, duration)
-        if app.delivered is not None
-        else 0.0
-    )
-
-    resent = timeouts = ce = responses = 0
-    from ..net.packet import PROTO_TCP
-
-    for proc in gq.world.procs:
-        layer = proc.host.protocols.get(PROTO_TCP)
-        if layer is None:
-            continue
-        for conn in layer._connections.values():
-            resent += conn.resent_segments
-            timeouts += conn.timeouts
-            ce += conn.ecn_ce_received
-            responses += conn.ecn_responses
-    early = tail = marks = 0
-    sojourn_sum = 0.0
-    sojourn_count = 0
-    for qdisc in gq.domain.priority_qdiscs:
-        bands = getattr(qdisc, "bands", None)
-        if bands is None or callable(bands):
-            continue
-        for band in bands:
-            early += getattr(band, "early_drops", 0)
-            tail += getattr(band, "tail_drops", 0)
-            marks += getattr(band, "ecn_marks", 0)
-            sojourn_sum += getattr(band, "sojourn_sum", 0.0)
-            sojourn_count += getattr(band, "sojourn_count", 0)
-    queue_delay_ms = (
-        sojourn_sum / sojourn_count * 1e3 if sojourn_count else 0.0
-    )
-    return {
-        "reservation_kbps": reservation_kbps,
-        "throughput_kbps": throughput,
-        "resent_segments": resent,
-        "timeouts": timeouts,
-        "early_drops": early,
-        "tail_drops": tail,
-        "ecn_marks": marks,
-        "ce_received": ce,
-        "ecn_responses": responses,
-        "queue_delay_ms": queue_delay_ms,
-    }
-
-
-def _resolve_grid(
-    quick: bool,
-    bandwidths_kbps: Optional[Sequence[float]],
-    duration: Optional[float],
-) -> Tuple[Sequence[float], float]:
-    if bandwidths_kbps is None:
-        bandwidths_kbps = QUICK_BANDWIDTHS if quick else FULL_BANDWIDTHS
-    if duration is None:
-        duration = 5.0 if quick else 8.0
-    return bandwidths_kbps, duration
-
-
-def plan_cells(
-    quick: bool = False,
-    bandwidths_kbps: Optional[Sequence[float]] = None,
-    duration: Optional[float] = None,
-) -> List[Tuple[Tuple[float, str, str], dict]]:
-    """The grid as independent jobs, keyed ``(bandwidth, config, mode)``
-    — the same merge contract as :func:`repro.experiments.table1_aqm.plan_cells`."""
-    bandwidths_kbps, duration = _resolve_grid(quick, bandwidths_kbps, duration)
-    return [
-        (
-            (bandwidth, label, mode),
-            dict(
-                bandwidth_kbps=bandwidth,
-                fps=fps,
-                bucket_divisor=divisor,
-                mode=mode,
-                duration=duration,
-            ),
-        )
-        for bandwidth in bandwidths_kbps
-        for label, fps, divisor in CONFIGS
-        for mode in MODES
-    ]
+def plan_cells(quick: bool = False, **grid):
+    """This table's cells: :func:`.table1_aqm.plan_modes` over :data:`MODES`."""
+    return plan_modes(MODES, quick, **grid)
 
 
 def run(
     quick: bool = False,
     seed: int = 0,
-    bandwidths_kbps: Optional[Sequence[float]] = None,
-    duration: Optional[float] = None,
     cell_results: Optional[Dict[Tuple[float, str, str], Dict[str, float]]] = None,
+    **grid,
 ) -> ExperimentResult:
     """Produce the L4S/modern-AQM comparison table."""
-    bandwidths_kbps, duration = _resolve_grid(quick, bandwidths_kbps, duration)
-
-    result = ExperimentResult(
-        experiment="table1_l4s",
-        description=f"Table 1 grid at {RES_FACTOR:.0%} reservation: "
+    cells = grid_cells(plan_cells, measure_cell, quick, seed, grid, cell_results)
+    return render(
+        "table1_l4s",
+        f"Table 1 grid at {RES_FACTOR:.0%} reservation: "
         "WRED+ECN vs CoDel vs PIE vs DualPI2+DCTCP",
-        headers=[
-            "bandwidth_kbps",
-            "config",
-            "mode",
-            "reservation_kbps",
-            "throughput_kbps",
-            "resent_segments",
-            "timeouts",
-            "early_drops",
-            "tail_drops",
-            "ecn_marks",
-            "queue_delay_ms",
-        ],
+        MODES,
+        cells,
+        queue_delay=True,
     )
-    totals = {
-        mode: {
-            "resent": 0,
-            "timeouts": 0,
-            "throughput": 0.0,
-            "delay_sum": 0.0,
-            "cells": 0,
-        }
-        for mode in MODES
-    }
-    for bandwidth in bandwidths_kbps:
-        for label, fps, divisor in CONFIGS:
-            for mode in MODES:
-                if cell_results is not None:
-                    cell = cell_results[(bandwidth, label, mode)]
-                else:
-                    cell = measure_cell(
-                        bandwidth,
-                        fps,
-                        divisor,
-                        mode,
-                        seed=seed,
-                        duration=duration,
-                    )
-                result.rows.append([
-                    bandwidth,
-                    label,
-                    mode,
-                    cell["reservation_kbps"],
-                    cell["throughput_kbps"],
-                    cell["resent_segments"],
-                    cell["timeouts"],
-                    cell["early_drops"],
-                    cell["tail_drops"],
-                    cell["ecn_marks"],
-                    cell["queue_delay_ms"],
-                ])
-                totals[mode]["resent"] += cell["resent_segments"]
-                totals[mode]["timeouts"] += cell["timeouts"]
-                totals[mode]["throughput"] += cell["throughput_kbps"]
-                totals[mode]["delay_sum"] += cell["queue_delay_ms"]
-                totals[mode]["cells"] += 1
-    for mode in MODES:
-        key = mode.replace("+", "_")
-        t = totals[mode]
-        result.extra[f"{key}_resent_segments"] = t["resent"]
-        result.extra[f"{key}_timeouts"] = t["timeouts"]
-        result.extra[f"{key}_total_throughput_kbps"] = t["throughput"]
-        result.extra[f"{key}_mean_queue_delay_ms"] = (
-            t["delay_sum"] / t["cells"] if t["cells"] else 0.0
-        )
-    return result

@@ -11,7 +11,7 @@ import pytest
 from repro.experiments import build_deployment
 from repro.experiments.common import ExperimentResult
 from repro.experiments.fig5_pingpong import measure_point as fig5_point
-from repro.experiments.fig6_visualization import measure_point as fig6_point
+from repro.experiments.fig6_visualization import measure_cell as fig6_cell
 from repro.experiments.fig7_burstiness_traces import run as fig7_run
 from repro.experiments.fig8_cpu_reservation import run as fig8_run
 from repro.experiments.report import ascii_plot, format_table, render_result
@@ -27,8 +27,8 @@ class TestDeployment:
         assert len(dep.gq.domain.conditioners) == 4
 
     def test_deterministic_given_seed(self):
-        a = fig6_point(5, 300, seed=9, duration=2.0)
-        b = fig6_point(5, 300, seed=9, duration=2.0)
+        a = fig6_cell(5, 300, seed=9, duration=2.0)
+        b = fig6_cell(5, 300, seed=9, duration=2.0)
         assert a == b
 
 
@@ -42,8 +42,8 @@ class TestFig5Shape:
 class TestFig6Shape:
     def test_adequacy_cliff(self):
         # 5 KB frames at 10 fps: 410 Kb/s target.
-        inadequate = fig6_point(5, 300, duration=5.0)
-        adequate = fig6_point(5, 500, duration=5.0)
+        inadequate = fig6_cell(5, 300, duration=5.0)
+        adequate = fig6_cell(5, 500, duration=5.0)
         assert adequate > 0.9 * 410
         assert inadequate < 0.8 * adequate
 
@@ -173,21 +173,25 @@ class TestRunnerCli:
 
     def test_runner_parallel_output_matches_serial(self, tmp_path):
         """--parallel 2 writes the same JSON a serial run does
-        (elapsed_seconds aside)."""
+        (elapsed_seconds aside), for a whole-job experiment (fig8) and
+        a partitioned one (fig_adaptation, one job per cell) sharing
+        one pool."""
         import json
 
         from repro.experiments.runner import main
 
-        rc = main(["fig8", "--quick", "--no-telemetry",
+        names = ["fig8", "fig_adaptation"]
+        rc = main([*names, "--quick", "--no-telemetry",
                    "--out", str(tmp_path / "serial")])
         assert rc == 0
-        rc = main(["fig8", "--quick", "--no-telemetry", "--parallel", "2",
+        rc = main([*names, "--quick", "--no-telemetry", "--parallel", "2",
                    "--out", str(tmp_path / "par")])
         assert rc == 0
-        serial = json.loads((tmp_path / "serial" / "fig8.json").read_text())
-        par = json.loads((tmp_path / "par" / "fig8.json").read_text())
-        serial.pop("elapsed_seconds"), par.pop("elapsed_seconds")
-        assert serial == par
+        for name in names:
+            serial = json.loads((tmp_path / "serial" / f"{name}.json").read_text())
+            par = json.loads((tmp_path / "par" / f"{name}.json").read_text())
+            serial.pop("elapsed_seconds"), par.pop("elapsed_seconds")
+            assert serial == par
 
     def test_runner_parallel_writes_metrics(self, tmp_path):
         """Whole-experiment parallel jobs export per-worker telemetry."""

@@ -53,27 +53,6 @@ class TestRunAssembly:
         for _key, kwargs in plan:
             assert kwargs["duration"] == 20.0
 
-    def test_cell_results_merge_matches_serial_assembly(self, cells):
-        # The parallel runner feeds measured cells back through run();
-        # with identical inputs the assembled result must be identical
-        # to what a serial run would assemble.
-        merged = fig_adaptation.run(
-            quick=True, seed=0, duration=20.0, cell_results=cells
-        )
-        assert merged.extra["static_compliance"] == (
-            cells["static"]["compliance"]
-        )
-        assert merged.extra["adaptive_compliance"] == (
-            cells["adaptive"]["compliance"]
-        )
-        assert merged.extra["compliance_gain"] == pytest.approx(
-            cells["adaptive"]["compliance"] - cells["static"]["compliance"]
-        )
-        assert len(merged.rows) == 2
-        assert merged.rows[0][0] == "static"
-        assert merged.rows[1][0] == "adaptive"
-        assert merged.headers[0] == "flavor"
-
     def test_deterministic_given_seed(self):
         a = fig_adaptation.measure_cell("adaptive", seed=3, duration=12.0)
         b = fig_adaptation.measure_cell("adaptive", seed=3, duration=12.0)
